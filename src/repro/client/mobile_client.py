@@ -52,9 +52,9 @@ from repro.net.channel import DELIVERED
 from repro.net.faults import RecoveryPolicy
 from repro.net.message import ReplyMessage, RequestMessage, UpdateValue
 from repro.net.network import Network
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.bus import EventBus
 from repro.obs.events import (
-    CacheAccess,
     LateReply,
     QueryComplete,
     QueryDegraded,
@@ -121,6 +121,12 @@ class MobileClient:
         #: metrics sink and updated only through events.
         self.metrics = MetricsSink.install(self.bus).client(client_id)
         self.reply_box: Store = Store(env, name=f"client-{client_id}-replies")
+        #: Dense key ids (:mod:`repro.oodb.keys`): the cache, the
+        #: policy and the probe work on these ints, and events decode
+        #: them back to ``(OID, attribute)`` keys.
+        self.keys = database.key_space
+        #: The error oracle's server versions, indexed by key id.
+        self._versions = server.database.key_versions
 
         if granularity.uses_storage_cache:
             capacity_bytes = cache_objects * object_size_bytes
@@ -136,6 +142,7 @@ class MobileClient:
             name=f"client-{client_id}-cache",
             bus=self.bus,
             client_id=client_id,
+            key_decoder=self.keys.decode,
         )
         #: Cache-table cost of storing one attribute-grained entry beyond
         #: its payload: the surrogate placeholder slot, the version and
@@ -187,8 +194,10 @@ class MobileClient:
         if not self.network.is_connected(self.client_id):
             return
         self.invalidation.on_report(report)
-        for key in report.keys:
-            self.cache.invalidate(key, now=self.env.now)
+        for oid, attribute in report.keys:
+            self.cache.invalidate(
+                self.keys.key_id(oid, attribute), now=self.env.now
+            )
 
     def _deliver(self, reply: ReplyMessage) -> None:
         """Route an incoming downlink message.
@@ -235,18 +244,19 @@ class MobileClient:
         self._pending_probe = None
         if probe is None:
             return
-        for key, __ in probe.deferred:
-            self.bus.emit(
-                CacheAccess(
-                    time=probe.recorded_at,
-                    client_id=self.client_id,
-                    key=key,
-                    hit=False,
-                    error=False,
-                    answered=True,
-                    connected=True,
-                )
+        self._record_deferred_misses(probe)
+
+    def _record_deferred_misses(self, probe: "_ProbeResult") -> None:
+        """Record a probe's deferred misses as answered by the server."""
+        accesses = self._access_batch(probe.recorded_at)
+        for key, __, __ in probe.deferred:
+            accesses.add(
+                key, hit=False, error=False, answered=True, connected=True
             )
+        self.bus.emit_batch(accesses)
+
+    def _access_batch(self, now: float) -> CacheAccessBatch:
+        return CacheAccessBatch(now, self.client_id, self.keys.decode)
 
     # ------------------------------------------------------------------
     # Query loop
@@ -328,18 +338,7 @@ class MobileClient:
             if reply is not None:
                 # The server answered: deferred miss accesses resolve to
                 # fresh values, exactly as the eager recording assumed.
-                for key, __ in probe.deferred:
-                    self.bus.emit(
-                        CacheAccess(
-                            time=probe.recorded_at,
-                            client_id=self.client_id,
-                            key=key,
-                            hit=False,
-                            error=False,
-                            answered=True,
-                            connected=True,
-                        )
-                    )
+                self._record_deferred_misses(probe)
             else:
                 yield from self._serve_degraded(probe, query.query_id)
 
@@ -499,42 +498,29 @@ class MobileClient:
         never reached the server are lost.
         """
         read_time = 0.0
-        for key, attr_size in probe.deferred:
+        accesses = self._access_batch(probe.recorded_at)
+        for key, object_id, attr_size in probe.deferred:
             entry = self.cache.lookup(key)
             if entry is not None:
-                oid, __ = key
-                read_time += self.local_storage.access(oid, attr_size)
+                read_time += self.local_storage.access(object_id, attr_size)
                 self.cache.touch(key, self.env.now)
                 is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
+                    entry.version, self._versions[key]
                 )
-                self.bus.emit(
-                    CacheAccess(
-                        time=probe.recorded_at,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=is_error,
-                        answered=True,
-                        connected=True,
-                        stale_served=True,
-                        age_seconds=max(
-                            0.0, self.env.now - entry.fetched_at
-                        ),
-                    )
+                accesses.add(
+                    key,
+                    hit=False,
+                    error=is_error,
+                    answered=True,
+                    connected=True,
+                    stale_served=True,
+                    age_seconds=max(0.0, self.env.now - entry.fetched_at),
                 )
             else:
-                self.bus.emit(
-                    CacheAccess(
-                        time=probe.recorded_at,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=False,
-                        answered=False,
-                        connected=True,
-                    )
+                accesses.add(
+                    key, hit=False, error=False, answered=False, connected=True
                 )
+        self.bus.emit_batch(accesses)
         self.bus.emit(
             QueryDegraded(
                 time=self.env.now,
@@ -561,26 +547,43 @@ class MobileClient:
         # remote round resolves.  Without recovery the round cannot
         # fail, and misses are recorded eagerly exactly as before.
         defer = self.recovery is not None
-        seen_existent: set[CacheKey] = set()
-        seen_needed: set[CacheKey] = set()
-        seen_updates: set[tuple[OID, str]] = set()
+        keys = self.keys
+        sizes = keys.sizes
+        versions = self._versions
+        cache = self.cache
+        object_keys = self.granularity.caches_objects
+        # Every access is recorded in one batch, published when the
+        # probe ends (or early, before any other event, so a catch-all
+        # sink still sees the events in the order they happened).
+        accesses = self._access_batch(now)
+        seen_existent: set[int] = set()
+        seen_needed: set[int] = set()
+        seen_updates: set[int] = set()
 
         for access in query.accesses:
-            key = self.granularity.key_for(access.oid, access.attribute)
-            entry = self.cache.lookup(key)
+            oid = access.oid
+            object_id, attribute_id = keys.ids(oid, access.attribute)
+            # The cached unit: the whole object, or just the attribute.
+            if object_keys:
+                key, unit = object_id, None
+            else:
+                key, unit = attribute_id, access.attribute
+            entry = cache.lookup(key)
             valid = entry is not None and entry.is_valid(now)
-            attr_size = self._attribute_size(access.oid, access.attribute)
+            attr_size = sizes[attribute_id]
 
             if (
                 entry is not None
                 and not valid
                 and self.bus.wants(RefreshExpired)
             ):
+                self.bus.emit_batch(accesses)
+                accesses = self._access_batch(now)
                 self.bus.emit(
                     RefreshExpired(
                         time=now,
                         client_id=self.client_id,
-                        key=key,
+                        key=keys.decode(key),
                         age_seconds=now - entry.fetched_at,
                         expired_for_seconds=now - entry.expires_at,
                     )
@@ -588,23 +591,17 @@ class MobileClient:
 
             if valid:
                 result.local_read_time += self.local_storage.access(
-                    access.oid, attr_size
+                    object_id, attr_size
                 )
-                self.cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
-                )
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=True,
-                        error=is_error,
-                        answered=True,
-                        connected=connected,
-                        age_seconds=now - entry.fetched_at,
-                    )
+                cache.touch(key, now)
+                is_error = ErrorOracle.is_stale(entry.version, versions[key])
+                accesses.add(
+                    key,
+                    hit=True,
+                    error=is_error,
+                    answered=True,
+                    connected=connected,
+                    age_seconds=now - entry.fetched_at,
                 )
                 if (
                     connected
@@ -612,75 +609,53 @@ class MobileClient:
                     and key not in seen_existent
                 ):
                     seen_existent.add(key)
-                    result.existent.append(key)
+                    result.existent.append((oid, unit))
             elif connected:
                 if defer:
-                    result.deferred.append((key, attr_size))
+                    result.deferred.append((key, object_id, attr_size))
                 else:
-                    self.bus.emit(
-                        CacheAccess(
-                            time=now,
-                            client_id=self.client_id,
-                            key=key,
-                            hit=False,
-                            error=False,
-                            answered=True,
-                            connected=True,
-                        )
+                    accesses.add(
+                        key, hit=False, error=False, answered=True, connected=True
                     )
-                self._add_needed(result, seen_needed, key)
+                self._add_needed(result, seen_needed, key, oid, unit)
             elif entry is not None:
                 # Disconnected: use the expired entry anyway.
                 result.local_read_time += self.local_storage.access(
-                    access.oid, attr_size
+                    object_id, attr_size
                 )
-                self.cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
-                )
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=is_error,
-                        answered=True,
-                        connected=False,
-                        stale_served=True,
-                        age_seconds=now - entry.fetched_at,
-                    )
+                cache.touch(key, now)
+                is_error = ErrorOracle.is_stale(entry.version, versions[key])
+                accesses.add(
+                    key,
+                    hit=False,
+                    error=is_error,
+                    answered=True,
+                    connected=False,
+                    stale_served=True,
+                    age_seconds=now - entry.fetched_at,
                 )
             else:
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=False,
-                        answered=False,
-                        connected=False,
-                    )
+                accesses.add(
+                    key, hit=False, error=False, answered=False, connected=False
                 )
 
-            update_id = (access.oid, access.attribute)
             if (
                 access.is_update
                 and connected
-                and update_id not in seen_updates
+                and attribute_id not in seen_updates
             ):
-                seen_updates.add(update_id)
-                self._add_needed(result, seen_needed, key)
-                result.updates.setdefault(access.oid, []).append(
+                seen_updates.add(attribute_id)
+                self._add_needed(result, seen_needed, key, oid, unit)
+                result.updates.setdefault(oid, []).append(
                     UpdateValue(
                         attribute=access.attribute,
                         value=self.workload.new_value_for(
-                            access.oid, access.attribute
+                            oid, access.attribute
                         ),
                         size_bytes=attr_size,
                     )
                 )
+        self.bus.emit_batch(accesses)
 
         if result.needed and self.granularity in (
             CachingGranularity.HYBRID,
@@ -692,8 +667,8 @@ class MobileClient:
     def _collect_held(
         self,
         result: "_ProbeResult",
-        seen_existent: set[CacheKey],
-        seen_needed: set[CacheKey],
+        seen_existent: set[int],
+        seen_needed: set[int],
         now: float,
     ) -> None:
         """List valid cached attributes of needed objects (HC only).
@@ -704,52 +679,52 @@ class MobileClient:
         units are attributes of needed objects; under PC they are valid
         page-mates of needed objects.
         """
+        keys = self.keys
         if self.granularity is CachingGranularity.PAGE:
             page_size = self.objects_per_page
             for oid in list(result.needed):
+                layout = keys.layout(oid.class_name)
                 page = oid.number // page_size
+                # Numbers past the class's last object have no key id
+                # and can never be cached.
                 for number in range(
-                    page * page_size, (page + 1) * page_size
+                    page * page_size,
+                    min((page + 1) * page_size, layout.count),
                 ):
-                    key = (OID(oid.class_name, number), None)
+                    key = layout.base + number * layout.stride
                     if key in seen_existent or key in seen_needed:
                         continue
                     entry = self.cache.lookup(key)
                     if entry is not None and entry.is_valid(now):
                         seen_existent.add(key)
-                        result.held.append(key)
+                        result.held.append((OID(oid.class_name, number), None))
             return
         for oid in result.needed:
-            class_def = self.database.schema.class_def(oid.class_name)
-            for attribute in class_def.attribute_names:
-                key = (oid, attribute)
+            layout = keys.layout(oid.class_name)
+            first = layout.base + oid.number * layout.stride
+            for slot in range(1, layout.stride):
+                key = first + slot
                 if key in seen_existent or key in seen_needed:
                     continue
                 entry = self.cache.lookup(key)
                 if entry is not None and entry.is_valid(now):
-                    result.held.append(key)
+                    result.held.append((oid, layout.names[slot]))
 
     def _add_needed(
         self,
         result: "_ProbeResult",
-        seen: set[CacheKey],
-        key: CacheKey,
+        seen: set[int],
+        key: int,
+        oid: OID,
+        attribute: str | None,
     ) -> None:
         if key in seen:
             return
         seen.add(key)
-        oid, attribute = key
         if attribute is None:
             result.needed.setdefault(oid, [])
         else:
             result.needed.setdefault(oid, []).append(attribute)
-
-    def _attribute_size(self, oid: OID, attribute: str) -> int:
-        return (
-            self.database.schema.class_def(oid.class_name)
-            .attribute(attribute)
-            .size_bytes
-        )
 
     # ------------------------------------------------------------------
     # Absorb phase
@@ -758,19 +733,17 @@ class MobileClient:
         """Admit returned items; return the local disk write time."""
         now = self.env.now
         write_bytes = 0
+        keys = self.keys
         for item in reply.items:
-            if item.attribute is None:
-                size = self.database.schema.class_def(
-                    item.oid.class_name
-                ).object_size_bytes
-            else:
-                size = (
-                    self._attribute_size(item.oid, item.attribute)
-                    + self.attribute_entry_overhead
-                )
+            key = keys.key_id(item.oid, item.attribute)
+            # The object's stored size, or the attribute's plus its
+            # cache-table overhead.
+            size = keys.sizes[key]
+            if item.attribute is not None:
+                size += self.attribute_entry_overhead
             expires_at = reply.expiry_deadline(item, now)
             self.cache.admit(
-                key=item.key,
+                key=key,
                 value=item.value,
                 version=item.version,
                 size_bytes=size,
@@ -787,10 +760,12 @@ class MobileClient:
 class _ProbeResult:
     """What one probe pass produces.
 
-    ``deferred`` lists connected miss accesses (key, attribute size)
-    whose metric recording waits for the remote round's outcome; it is
-    only populated when recovery machinery is active.  ``recorded_at``
-    is the probe instant every deferred access is stamped with.
+    ``existent`` and ``held`` are ``(OID, attribute)`` keys for the
+    request message.  ``deferred`` lists connected miss accesses (key
+    id, object key id, attribute size) whose metric recording waits for
+    the remote round's outcome; it is only populated when recovery
+    machinery is active.  ``recorded_at`` is the probe instant every
+    deferred access is stamped with.
     """
 
     __slots__ = (
@@ -809,5 +784,5 @@ class _ProbeResult:
         self.existent: list[CacheKey] = []
         self.held: list[CacheKey] = []
         self.updates: dict[OID, list[UpdateValue]] = {}
-        self.deferred: list[tuple[CacheKey, int]] = []
+        self.deferred: list[tuple[int, int, int]] = []
         self.recorded_at = 0.0

@@ -85,6 +85,16 @@ class ReplacementPolicy(abc.ABC):
         """
         return True
 
+    def bind_key_decoder(self, decode: t.Callable[[t.Any], t.Any]) -> None:
+        """Learn how to map the keys it is given back to cache keys.
+
+        A storage cache that drives the policy with dense integer key
+        ids passes the key space's decoder here.  Ordering-only
+        policies ignore it (the default); sketch-gated ones hash the
+        decoded key, so their estimates do not depend on the id
+        encoding.
+        """
+
     def segment_of(self, key: CacheKey) -> str | None:
         """Name of the internal segment holding ``key``.
 
@@ -111,6 +121,12 @@ class ReplacementPolicy(abc.ABC):
             raise ReplacementError("cannot evict from an empty policy")
 
 
+#: Stale heap records tolerated on top of one per live key before a
+#: :class:`LazyScoreHeap` compacts; keeps tiny heaps from rebuilding on
+#: every other update.
+COMPACT_SLACK = 64
+
+
 class LazyScoreHeap:
     """Min-heap over (score, key) with lazy invalidation.
 
@@ -118,6 +134,12 @@ class LazyScoreHeap:
     skipped at pop time by comparing against the current score table.
     Gives O(log n) victim selection even for policies whose scores change
     on every access (LRU-k, LRD, and the duration schemes).
+
+    Stale records that never reach the top would otherwise live for the
+    whole run, so once they outnumber the live ones (plus
+    :data:`COMPACT_SLACK`) the heap is rebuilt from the score table.
+    ``(score, seq)`` pairs are unique, so a rebuild cannot change the
+    pop order, and the rebuild's O(n) cost amortises to O(1) per update.
     """
 
     __slots__ = ("_heap", "_scores", "_seq")
@@ -140,13 +162,18 @@ class LazyScoreHeap:
         self._seq += 1
         self._scores[key] = (score, self._seq)
         heapq.heappush(self._heap, (score, self._seq, key))
+        if len(self._heap) > 2 * len(self._scores) + COMPACT_SLACK:
+            self._compact()
 
     def score_of(self, key: CacheKey) -> t.Any:
         return self._scores[key][0]
 
     def discard(self, key: CacheKey) -> None:
         """Remove ``key``; its stale heap records evaporate lazily."""
-        self._scores.pop(key, None)
+        if self._scores.pop(key, None) is None:
+            return
+        if len(self._heap) > 2 * len(self._scores) + COMPACT_SLACK:
+            self._compact()
 
     def peek_min(self) -> tuple[t.Any, CacheKey]:
         """Current (score, key) minimum without removing it."""
@@ -164,6 +191,18 @@ class LazyScoreHeap:
         __, __, key = heapq.heappop(self._heap)
         del self._scores[key]
         return key
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the live records only."""
+        # Build order is immaterial: heapify plus unique (score, seq)
+        # pairs fix the pop order whatever order the records come in.
+        self._heap = [
+            (score, seq, key)
+            for key, (score, seq) in (
+                self._scores.items()  # repro: noqa REP003 -- see above
+            )
+        ]
+        heapq.heapify(self._heap)
 
     def _settle(self) -> None:
         """Drop stale heap records until the top one is live."""

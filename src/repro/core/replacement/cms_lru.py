@@ -15,6 +15,7 @@ structure.
 
 from __future__ import annotations
 
+import typing as t
 from collections import OrderedDict
 
 from repro.core.granularity import CacheKey
@@ -36,6 +37,9 @@ class CMSAdmissionLRUPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._order)
+
+    def bind_key_decoder(self, decode: t.Callable[[t.Any], t.Any]) -> None:
+        self._sketch.bind_decoder(decode)
 
     def frequency(self, key: CacheKey) -> int:
         """Sketch estimate for ``key`` (diagnostics and tests)."""

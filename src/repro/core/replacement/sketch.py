@@ -22,7 +22,11 @@ suite under a different hash seed, so the builtin ``hash()`` is off
 limits.  Keys are encoded through their (deterministic) ``repr`` and
 digested with BLAKE2b; the 128-bit digest is sliced into one 32-bit
 index seed per row.  Digests are memoized per key — the key population
-is the object universe, a few thousand entries at most.
+is the object universe, a few thousand entries at most.  A sketch fed
+dense integer key ids is given the key space's decoder
+(:meth:`CountMinSketch.bind_decoder`) and hashes the decoded
+``(OID, attribute)`` text, so every row index is the same as for the
+tuple key.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class CountMinSketch:
         "_reset_interval",
         "_ops",
         "_digests",
+        "_decode",
     )
 
     def __init__(
@@ -79,6 +84,7 @@ class CountMinSketch:
         self._reset_interval = int(reset_interval)
         self._ops = 0
         self._digests: dict[t.Any, int] = {}
+        self._decode: t.Callable[[t.Any], t.Any] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -93,13 +99,23 @@ class CountMinSketch:
     def reset_interval(self) -> int:
         return self._reset_interval
 
+    def bind_decoder(self, decode: t.Callable[[t.Any], t.Any]) -> None:
+        """Hash ``decode(key)`` instead of ``key`` from now on.
+
+        Used with dense key ids: the decoder maps an id back to its
+        ``(OID, attribute)`` key, whose text fixes the row indices.
+        """
+        self._decode = decode
+        self._digests.clear()
+
     def _indices(self, key: t.Any) -> list[int]:
         digest = self._digests.get(key)
         if digest is None:
             # repr() of a cache key — (OID, attribute) — is a pure
             # function of its fields, unlike hash(), which varies with
             # PYTHONHASHSEED across worker processes.
-            encoded = repr(key).encode("utf-8")
+            canonical = key if self._decode is None else self._decode(key)
+            encoded = repr(canonical).encode("utf-8")
             raw = hashlib.blake2b(encoded, digest_size=16).digest()
             digest = int.from_bytes(raw, "little")
             self._digests[key] = digest

@@ -28,6 +28,7 @@ toward the default (the SNIPPETS exemplar idiom).
 from __future__ import annotations
 
 import math
+import typing as t
 from collections import OrderedDict
 
 from repro.core.granularity import CacheKey
@@ -93,6 +94,9 @@ class WTinyLFUPolicy(ReplacementPolicy):
 
     def segment_of(self, key: CacheKey) -> str | None:
         return self._segments.get(key)
+
+    def bind_key_decoder(self, decode: t.Callable[[t.Any], t.Any]) -> None:
+        self._sketch.bind_decoder(decode)
 
     def frequency(self, key: CacheKey) -> int:
         """Sketch estimate for ``key`` (diagnostics and tests)."""

@@ -4,6 +4,12 @@ This is the cache the paper's replacement policies manage.  Capacity is
 in *bytes* so attribute-grained and object-grained schemes share one
 implementation: 400 objects of 1024 bytes hold 400 cached objects under
 OC, or several thousand attribute values under AC/HC.
+
+Keys are opaque to the cache.  The mobile client drives it with dense
+integer key ids (:mod:`repro.oodb.keys`) and passes the key space's
+decoder, which the cache hands to its policy and applies to the keys of
+the events it emits, so traces carry ``(OID, attribute)`` keys either
+way.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from repro.obs.events import (
 )
 
 
+def _same_key(key: t.Any) -> t.Any:
+    return key
+
+
 class ClientStorageCache:
     """Byte-budgeted cache of :class:`CacheEntry` values."""
 
@@ -34,6 +44,7 @@ class ClientStorageCache:
         name: str = "storage-cache",
         bus: EventBus | None = None,
         client_id: int = -1,
+        key_decoder: t.Callable[[t.Any], t.Any] | None = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise CacheError(
@@ -44,6 +55,11 @@ class ClientStorageCache:
         self.name = name
         self.bus = bus if bus is not None else EventBus()
         self.client_id = client_id
+        #: Maps a key as the cache stores it to the key events carry.
+        self._event_key: t.Callable[[t.Any], t.Any] = _same_key
+        if key_decoder is not None:
+            self._event_key = key_decoder
+            policy.bind_key_decoder(key_decoder)
         self._entries: dict[CacheKey, CacheEntry] = {}
         self.used_bytes = 0
         self.admissions = 0
@@ -104,7 +120,7 @@ class ClientStorageCache:
                         time=now,
                         client_id=self.client_id,
                         cache=self.name,
-                        key=key,
+                        key=self._event_key(key),
                         expires_at=expires_at,
                     )
                 )
@@ -123,7 +139,7 @@ class ClientStorageCache:
                             time=now,
                             client_id=self.client_id,
                             cache=self.name,
-                            key=key,
+                            key=self._event_key(key),
                             size_bytes=size_bytes,
                         )
                     )
@@ -142,7 +158,7 @@ class ClientStorageCache:
                         time=now,
                         client_id=self.client_id,
                         cache=self.name,
-                        key=victim,
+                        key=self._event_key(victim),
                         size_bytes=victim_entry.size_bytes,
                         score=self.policy.last_eviction_score,
                     )
@@ -165,7 +181,7 @@ class ClientStorageCache:
                     time=now,
                     client_id=self.client_id,
                     cache=self.name,
-                    key=key,
+                    key=self._event_key(key),
                     size_bytes=size_bytes,
                     evictions=len(evicted),
                     expires_at=expires_at,
@@ -194,7 +210,7 @@ class ClientStorageCache:
                     time=now,
                     client_id=self.client_id,
                     cache=self.name,
-                    key=key,
+                    key=self._event_key(key),
                     size_bytes=entry.size_bytes,
                 )
             )

@@ -40,6 +40,18 @@ class BucketedRatio:
         if success:
             self._hits[bucket] = self._hits.get(bucket, 0) + 1
 
+    def record_many(self, now: Seconds, successes: int, total: int) -> None:
+        """Fold ``total`` samples taken at ``now``, ``successes`` of them
+        hits; the same as ``total`` :meth:`record` calls (none for 0)."""
+        if not total:
+            return
+        if now < 0:
+            raise ValueError(f"negative sample time: {now!r}")
+        bucket = int(now // self.bucket_seconds)
+        self._totals[bucket] = self._totals.get(bucket, 0) + total
+        if successes:
+            self._hits[bucket] = self._hits.get(bucket, 0) + successes
+
     def series(self) -> list[tuple[float, float, int]]:
         """(bucket start time, ratio, sample count) per non-empty bucket."""
         out = []

@@ -6,7 +6,8 @@ it without cycles.  See DESIGN.md §9 for the taxonomy and the
 zero-overhead-when-off contract.
 """
 
-from repro.obs.bus import EventBus, Handler
+from repro.obs.batches import CacheAccessBatch
+from repro.obs.bus import EventBatch, EventBus, Handler
 from repro.obs.events import (
     ALL_EVENT_TYPES,
     KIND_ABORT,
@@ -47,8 +48,10 @@ from repro.obs.sinks import (
 __all__ = [
     "ALL_EVENT_TYPES",
     "CacheAccess",
+    "CacheAccessBatch",
     "CacheAdmit",
     "CacheEvict",
+    "EventBatch",
     "EventBus",
     "EventCounter",
     "FaultEvent",

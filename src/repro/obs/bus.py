@@ -16,6 +16,15 @@ Dispatch order is subscription order, which the wiring code keeps
 deterministic, so two runs of the same configuration emit and process
 byte-identical event sequences (the property the parallel executor's
 merge relies on).
+
+**Batches.**  A hot emitter may hand the bus many events of one type in
+one call (:meth:`EventBus.emit_batch`; the client publishes each
+query's :class:`~repro.obs.events.CacheAccess` events that way).  The
+type's counter advances once per event.  Subscribers that registered a
+batch handler receive the batch whole; every other subscriber —
+catch-all sinks included — receives the individual events, expanded in
+order, exactly as if each had been emitted on its own.  With only batch
+handlers listening, no per-event object is ever built.
 """
 
 from __future__ import annotations
@@ -32,6 +41,19 @@ E = t.TypeVar("E", bound=SimEvent)
 _NO_HANDLERS: tuple[Handler, ...] = ()
 
 
+class EventBatch(t.Protocol):
+    """Many events of one type, published in one :meth:`EventBus.emit_batch`."""
+
+    #: The exact type of every event in the batch.
+    event_type: t.ClassVar[type[SimEvent]]
+
+    def __len__(self) -> int: ...
+
+    def events(self) -> t.Iterator[SimEvent]:
+        """The batch's events, built one by one in emission order."""
+        ...
+
+
 class _TypeRecord:
     """Per-type dispatch cache: one counter plus the flattened handlers.
 
@@ -42,23 +64,38 @@ class _TypeRecord:
     no subscribers the handler tuple is empty, so the count bookkeeping
     short-circuits to just the increment (no name lookup, no dict
     writes, no second dispatch-table probe).
+
+    ``batch_handlers`` and ``expand_handlers`` split the same
+    subscribers for :meth:`EventBus.emit_batch`: those that take a
+    batch whole, and those (catch-all sinks included) that need each
+    event on its own.
     """
 
-    __slots__ = ("name", "count", "handlers")
+    __slots__ = ("name", "count", "handlers", "batch_handlers",
+                 "expand_handlers")
 
-    def __init__(self, name: str, handlers: tuple[Handler, ...]) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
-        self.handlers = handlers
+        self.handlers: tuple[Handler, ...] = ()
+        self.batch_handlers: tuple[Handler, ...] = ()
+        self.expand_handlers: tuple[Handler, ...] = ()
 
 
 class EventBus:
     """Type-dispatched publish/subscribe hub with per-type counters."""
 
-    __slots__ = ("_handlers", "_catch_all", "_records", "sinks")
+    __slots__ = ("_handlers", "_batch_handlers", "_catch_all", "_records",
+                 "sinks")
 
     def __init__(self) -> None:
         self._handlers: dict[type[SimEvent], tuple[Handler, ...]] = {}
+        #: Per type: the batch handler paired with each entry of
+        #: ``_handlers`` (``None`` when that subscriber takes events
+        #: one at a time only).
+        self._batch_handlers: dict[
+            type[SimEvent], tuple[Handler | None, ...]
+        ] = {}
         self._catch_all: tuple[Handler, ...] = ()
         #: Dispatch cache, keyed by exact event type; also the backing
         #: store for the per-type emit counters (see :attr:`counts`).
@@ -76,26 +113,53 @@ class EventBus:
 
     # ------------------------------------------------------------------
     def subscribe(
-        self, event_type: type[E], handler: t.Callable[[E], None]
+        self,
+        event_type: type[E],
+        handler: t.Callable[[E], None],
+        batch_handler: t.Callable[[t.Any], None] | None = None,
     ) -> None:
         """Deliver every future event of exactly ``event_type`` to
-        ``handler`` (subclasses do not match; dispatch is exact)."""
-        existing = self._handlers.get(event_type, _NO_HANDLERS)
-        self._handlers[event_type] = existing + (
-            t.cast(Handler, handler),
-        )
+        ``handler`` (subclasses do not match; dispatch is exact).
+
+        With ``batch_handler`` set, batches of the type published
+        through :meth:`emit_batch` go to it whole instead of to
+        ``handler`` one event at a time; it must fold a batch exactly
+        as ``handler`` would fold the batch's events in order.
+        """
+        self._handlers[event_type] = self._handlers.get(
+            event_type, _NO_HANDLERS
+        ) + (t.cast(Handler, handler),)
+        self._batch_handlers[event_type] = self._batch_handlers.get(
+            event_type, ()
+        ) + (batch_handler,)
         record = self._records.get(event_type)
         if record is not None:
-            record.handlers = self._handlers[event_type] + self._catch_all
+            self._wire(event_type, record)
 
     def subscribe_all(self, handler: Handler) -> None:
         """Deliver every emitted event of any type to ``handler``."""
         self._catch_all = self._catch_all + (handler,)
         for event_type, record in self._records.items():
-            record.handlers = (
-                self._handlers.get(event_type, _NO_HANDLERS)
-                + self._catch_all
-            )
+            self._wire(event_type, record)
+
+    def _wire(self, event_type: type[SimEvent], record: _TypeRecord) -> None:
+        """(Re)flatten one type's subscribers into its dispatch record."""
+        handlers = self._handlers.get(event_type, _NO_HANDLERS)
+        batchers = self._batch_handlers.get(event_type, ())
+        record.handlers = handlers + self._catch_all
+        record.batch_handlers = tuple(
+            batcher for batcher in batchers if batcher is not None
+        )
+        record.expand_handlers = tuple(
+            handler
+            for handler, batcher in zip(handlers, batchers, strict=True)
+            if batcher is None
+        ) + self._catch_all
+
+    def _record(self, event_type: type[SimEvent]) -> _TypeRecord:
+        record = self._records[event_type] = _TypeRecord(event_type.__name__)
+        self._wire(event_type, record)
+        return record
 
     def wants(self, event_type: type[SimEvent]) -> bool:
         """Whether anyone would see ``event_type`` — the emit guard.
@@ -112,13 +176,33 @@ class EventBus:
         cls = type(event)
         record = self._records.get(cls)
         if record is None:
-            record = self._records[cls] = _TypeRecord(
-                cls.__name__,
-                self._handlers.get(cls, _NO_HANDLERS) + self._catch_all,
-            )
+            record = self._record(cls)
         record.count += 1
         for handler in record.handlers:
             handler(event)
+
+    def emit_batch(self, batch: EventBatch) -> None:
+        """Publish every event of ``batch`` in one call.
+
+        Counts and delivery match emitting the events one by one: batch
+        handlers get the batch, every other subscriber the expanded
+        events in order.  An empty batch publishes nothing.
+        """
+        size = len(batch)
+        if not size:
+            return
+        cls = batch.event_type
+        record = self._records.get(cls)
+        if record is None:
+            record = self._record(cls)
+        record.count += size
+        for batch_handler in record.batch_handlers:
+            batch_handler(batch)
+        expand = record.expand_handlers
+        if expand:
+            for event in batch.events():
+                for handler in expand:
+                    handler(event)
 
     @property
     def counts(self) -> dict[str, int]:

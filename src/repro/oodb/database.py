@@ -5,6 +5,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import QueryError, SchemaError
+from repro.oodb.keys import KeySpace
 from repro.oodb.objects import DBObject, OID, oid_sort_key
 from repro.oodb.schema import Schema, default_root_schema
 from repro.sim.rand import RandomStream
@@ -24,6 +25,11 @@ class Database:
         #: so the sort must not be repeated per client.  Invalidated on
         #: :meth:`add`.
         self._oid_cache: dict[str | None, list[OID]] = {}
+        #: Dense cache-key ids and the version table indexed by them,
+        #: built on first use and reset on :meth:`add` (build the
+        #: population before the clients and server that use the ids).
+        self._key_space: KeySpace | None = None
+        self._key_versions: list[int] = []
 
     def __repr__(self) -> str:
         return f"<Database objects={len(self._objects)}>"
@@ -43,6 +49,7 @@ class Database:
             )
         self._objects[obj.oid] = obj
         self._oid_cache.clear()
+        self._key_space = None
 
     def get(self, oid: OID) -> DBObject:
         try:
@@ -67,6 +74,37 @@ class Database:
             )
         # A fresh list per call: callers may mutate their copy.
         return list(cached)
+
+    @property
+    def key_space(self) -> KeySpace:
+        """The dense id layout of this database's cache keys."""
+        if self._key_space is None:
+            self._build_key_space()
+        assert self._key_space is not None
+        return self._key_space
+
+    @property
+    def key_versions(self) -> list[int]:
+        """Current server version per key id (object or attribute).
+
+        The error oracle's perfect-knowledge lookup: every
+        :meth:`DBObject.write` keeps the table current.
+        """
+        if self._key_space is None:
+            self._build_key_space()
+        return self._key_versions
+
+    def _build_key_space(self) -> None:
+        keys = KeySpace(self.schema, self._objects)
+        versions = [0] * keys.size
+        for obj in self._objects.values():
+            obj.bind_keys(
+                versions,
+                keys.key_id(obj.oid, None),
+                keys.layout(obj.oid.class_name).slots,
+            )
+        self._key_space = keys
+        self._key_versions = versions
 
     def objects(self) -> t.Iterable[DBObject]:
         return self._objects.values()

@@ -62,7 +62,7 @@ class DBObject:
     """One stored object: attribute values plus version bookkeeping."""
 
     __slots__ = ("oid", "class_def", "_attributes", "object_version",
-                 "last_write_time")
+                 "last_write_time", "_versions", "_first_id", "_slots")
 
     def __init__(
         self,
@@ -89,6 +89,11 @@ class DBObject:
         #: Bumped on every write to any attribute (object-level version).
         self.object_version = 0
         self.last_write_time = 0.0
+        #: Database-wide version table indexed by key id, mirrored on
+        #: every write once :meth:`bind_keys` attached it.
+        self._versions: list[int] | None = None
+        self._first_id = 0
+        self._slots: t.Mapping[str, int] = {}
 
     def __repr__(self) -> str:
         return f"<DBObject {self.oid} v{self.object_version}>"
@@ -113,6 +118,43 @@ class DBObject:
         """Current version of attribute ``name``."""
         return self.attribute_state(name).version
 
+    def bind_keys(
+        self,
+        versions: list[int],
+        first_id: int,
+        slots: t.Mapping[str, int],
+    ) -> None:
+        """Place this object in its database's key space.
+
+        ``first_id`` is the id of the whole object and ``first_id +
+        slots[name]`` each attribute's (:meth:`key_id`).  The versions
+        are mirrored into ``versions`` at those indices, and every later
+        :meth:`write` keeps them current.  ``versions`` must start
+        zeroed.
+        """
+        if self.object_version:
+            # Every write bumps the object version, so an unwritten
+            # object's slots are already the table's initial zeros.
+            versions[first_id] = self.object_version
+            for name, slot in slots.items():
+                versions[first_id + slot] = self._attributes[name].version
+        self._versions = versions
+        self._first_id = first_id
+        self._slots = slots
+
+    def key_id(self, attribute: str | None = None) -> int:
+        """Cache-key id of this object, or of one of its attributes."""
+        if self._versions is None:
+            raise SchemaError(f"object {self.oid} has no key ids yet")
+        if attribute is None:
+            return self._first_id
+        try:
+            return self._first_id + self._slots[attribute]
+        except KeyError:
+            raise SchemaError(
+                f"object {self.oid} has no attribute {attribute!r}"
+            ) from None
+
     def write(self, name: str, value: int, now: float) -> None:
         """Overwrite attribute ``name``, bumping both version levels."""
         state = self.attribute_state(name)
@@ -121,6 +163,10 @@ class DBObject:
         state.last_write_time = now
         self.object_version += 1
         self.last_write_time = now
+        versions = self._versions
+        if versions is not None:
+            versions[self._first_id] = self.object_version
+            versions[self._first_id + self._slots[name]] = state.version
 
     def related_oid(self, name: str) -> OID:
         """Resolve relationship ``name`` to the OID it references.

@@ -70,9 +70,14 @@ class DatabaseServer:
         self.name = name
         self.inbox: Store = Store(env, name=f"{name}-inbox")
         self.storage = StorageModel(buffer_capacity, name=name)
-        #: Attribute-level write statistics (AC/HC refresh times).
+        #: Dense cache-key ids; building the key space also tells every
+        #: object its own ids (:meth:`DBObject.key_id`).
+        self.key_space = database.key_space
+        #: Attribute-level write statistics (AC/HC refresh times), keyed
+        #: by the attribute's key id.
         self.attribute_estimator = RefreshTimeEstimator(beta)
-        #: Object-level write statistics (OC/NC refresh times).
+        #: Object-level write statistics (OC/NC refresh times), keyed by
+        #: the object's key id.
         self.object_estimator = RefreshTimeEstimator(beta)
         self.prefetch_tracker = prefetch_tracker or AttributeAccessTracker()
         #: Ship HC prefetches as a trailing message (True) or inline in
@@ -218,12 +223,12 @@ class DatabaseServer:
             for change in changes:
                 obj.write(change.attribute, change.value, now)
                 self.attribute_estimator.record_write(
-                    (oid, change.attribute), now
+                    obj.key_id(change.attribute), now
                 )
                 if not self.ir_object_keys:
                     self.write_log.record((oid, change.attribute), now)
                 self.updates_applied += 1
-            self.object_estimator.record_write(oid, now)
+            self.object_estimator.record_write(obj.key_id(), now)
             if self.ir_object_keys:
                 self.write_log.record((oid, None), now)
 
@@ -348,7 +353,7 @@ class DatabaseServer:
             value=values,
             version=obj.object_version,
             refresh_time=self._refresh_time(
-                self.object_estimator, obj.oid
+                self.object_estimator, obj.key_id()
             ),
             payload_bytes=payload,
         )
@@ -365,7 +370,7 @@ class DatabaseServer:
             value=state.value,
             version=state.version,
             refresh_time=self._refresh_time(
-                self.attribute_estimator, (obj.oid, attribute)
+                self.attribute_estimator, obj.key_id(attribute)
             ),
             payload_bytes=definition.size_bytes,
         )
@@ -414,16 +419,6 @@ class DatabaseServer:
                 self.prefetch_tracker.record_access(
                     client_id, oid.class_name, attribute
                 )
-
-    # ------------------------------------------------------------------
-    # Oracle access for the error metric
-    # ------------------------------------------------------------------
-    def current_version(self, oid: OID, attribute: str | None) -> int:
-        """Perfect-knowledge version lookup used by the error oracle."""
-        obj = self.database.get(oid)
-        if attribute is None:
-            return obj.object_version
-        return obj.version_of(attribute)
 
 
 def _attrs_by_oid(*key_lists: tuple) -> dict[OID, set[str]]:

@@ -188,6 +188,11 @@ class RatioCounter:
         if success:
             self.hits += 1
 
+    def record_many(self, successes: int, total: int) -> None:
+        """Fold ``total`` observations, ``successes`` of them hits."""
+        self.total += total
+        self.hits += successes
+
     @property
     def ratio(self) -> float:
         """Hit fraction in [0, 1]; 0.0 when no observations exist."""

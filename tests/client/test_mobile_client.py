@@ -49,6 +49,11 @@ class Harness:
         )
         self.server.start()
 
+    def cached(self, key):
+        """The client's cache entry for an ``(OID, attribute)`` key; the
+        cache itself is keyed by the database's dense key ids."""
+        return self.client.cache.lookup(self.client.keys.key_id(*key))
+
     def run_query(self, accesses, kind=QueryKind.ASSOCIATIVE):
         query = Query(
             query_id=1, client_id=0, kind=kind, accesses=accesses
@@ -68,7 +73,7 @@ class TestAttributeCaching:
         metrics = harness.client.metrics
         assert metrics.hit.total == 1
         assert metrics.hit.hits == 0
-        assert harness.client.cache.lookup((OID("Root", 1), "a0")) is not None
+        assert harness.cached((OID("Root", 1), "a0")) is not None
         harness.run_query(reads((1, "a0")))
         assert metrics.hit.hits == 1
         assert metrics.remote_rounds == 1  # second query was fully local
@@ -82,7 +87,7 @@ class TestAttributeCaching:
     def test_cached_value_matches_server(self):
         harness = Harness("AC")
         harness.run_query(reads((2, "a3")))
-        entry = harness.client.cache.lookup((OID("Root", 2), "a3"))
+        entry = harness.cached((OID("Root", 2), "a3"))
         assert entry.value == harness.database.get(OID("Root", 2)).read("a3")
 
     def test_multiple_attributes_per_object(self):
@@ -95,7 +100,7 @@ class TestObjectCaching:
     def test_whole_object_cached(self):
         harness = Harness("OC")
         harness.run_query(reads((1, "a0")))
-        entry = harness.client.cache.lookup((OID("Root", 1), None))
+        entry = harness.cached((OID("Root", 1), None))
         assert entry is not None
         assert entry.value["a5"] == harness.database.get(
             OID("Root", 1)
@@ -117,7 +122,7 @@ class TestUpdates:
         access = AttributeAccess(oid, "a0", is_update=True)
         harness.run_query([access])
         server_value = harness.database.get(oid).read("a0")
-        entry = harness.client.cache.lookup((oid, "a0"))
+        entry = harness.cached((oid, "a0"))
         assert entry.value == server_value
         assert entry.version == 1
         assert harness.server.updates_applied == 1
@@ -152,7 +157,7 @@ class TestDisconnection:
         # Another writer updates the attribute at the server, and the
         # cached entry's refresh deadline passes.
         harness.database.get(oid).write("a0", 999, now=50.0)
-        entry = harness.client.cache.lookup((oid, "a0"))
+        entry = harness.cached((oid, "a0"))
         entry.expires_at = 60.0
         harness.env._now = 200.0  # inside the disconnection window
         harness.run_query(reads((1, "a0")))
@@ -226,7 +231,7 @@ class TestPageCaching:
         harness.run_query(reads((5, "a0")))
         # Object 5's page (objects 4..7) is cached wholesale.
         for number in (4, 5, 6, 7):
-            assert harness.client.cache.lookup(
+            assert harness.cached(
                 (OID("Root", number), None)
             ) is not None
 
@@ -243,7 +248,7 @@ class TestPageCaching:
         received_once = harness.client.metrics.bytes_received
         # Expire object 5 only; page-mates stay valid and are listed as
         # held, so the refresh reply carries a single object.
-        entry = harness.client.cache.lookup((OID("Root", 5), None))
+        entry = harness.cached((OID("Root", 5), None))
         entry.expires_at = harness.env.now
         harness.env._now = harness.env.now + 1.0
         harness.run_query(reads((5, "a0")))
@@ -273,11 +278,11 @@ class TestInvalidationReportClient:
         harness.client.invalidation = InvalidationListener(1000.0)
         harness.run_query(reads((1, "a0")))
         key = (OID("Root", 1), "a0")
-        assert harness.client.cache.lookup(key) is not None
+        assert harness.cached(key) is not None
         harness.client._on_report(
             InvalidationReport(1, harness.env.now, (key,))
         )
-        assert harness.client.cache.lookup(key) is None
+        assert harness.cached(key) is None
 
     def test_missed_reports_purge_cache(self):
         harness = Harness("AC")

@@ -99,3 +99,53 @@ def test_matches_reference_dict(operations):
         if reference:
             score, key = heap.peek_min()
             assert score == min(reference.values())
+
+
+class _NeverCompacts(LazyScoreHeap):
+    """Reference heap: the same lazy heap with compaction switched off."""
+
+    __slots__ = ()
+
+    def _compact(self) -> None:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["set", "set", "set", "discard", "pop"]),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=-50, max_value=50),
+        ),
+        max_size=600,
+    )
+)
+def test_compaction_keeps_pop_order_and_bounds_the_heap(operations):
+    """Compaction may not reorder pops, and stale records stay bounded."""
+    heap = LazyScoreHeap()
+    reference = _NeverCompacts()
+    for op, key, score in operations:
+        if op == "set":
+            heap.set_score(key, score)
+            reference.set_score(key, score)
+        elif op == "discard":
+            heap.discard(key)
+            reference.discard(key)
+        elif len(reference):
+            assert heap.pop_min() == reference.pop_min()
+        assert len(heap) == len(reference)
+        assert len(heap._heap) <= 2 * len(heap) + 64
+    while len(reference):
+        assert heap.pop_min() == reference.pop_min()
+    assert len(heap) == 0
+
+
+def test_compaction_fires_on_discard():
+    heap = LazyScoreHeap()
+    for key in range(200):
+        heap.set_score(key, float(key))
+    for key in range(190):
+        heap.discard(key)
+    assert len(heap._heap) <= 2 * len(heap) + 64
+    assert [heap.pop_min() for __ in range(10)] == list(range(190, 200))

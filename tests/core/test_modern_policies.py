@@ -22,6 +22,7 @@ from repro.core.replacement.tinylfu import (
     SEG_WINDOW,
 )
 from repro.errors import ReplacementError
+from repro.oodb.database import build_default_database
 from repro.oodb.objects import OID
 
 
@@ -73,6 +74,38 @@ class TestCountMinSketch:
 
     def test_width_rounds_to_power_of_two(self):
         assert CountMinSketch(width=100).width == 128
+
+    #: Row indices of a few cache keys in a default sketch, pinned at
+    #: the values the tuple-keyed sketch produced before dense key ids:
+    #: every sketch-gated policy result depends on them.
+    PINNED_INDICES = (
+        (key(0, "a0"), [3422, 2309, 3207, 1390]),
+        (key(1999, "r2"), [273, 1876, 746, 969]),
+        (key(7), [2933, 1774, 4082, 3389]),
+        (key(42, "a5"), [1409, 2207, 2863, 840]),
+    )
+
+    def test_row_indices_pinned(self):
+        sketch = CountMinSketch()
+        for cache_key, indices in self.PINNED_INDICES:
+            assert sketch._indices(cache_key) == indices
+        assert CountMinSketch(width=64, depth=3)._indices(
+            key(3, "a1")
+        ) == [45, 33, 51]
+
+    def test_key_ids_hash_like_their_decoded_keys(self):
+        keys = build_default_database().key_space
+        sketch = CountMinSketch()
+        sketch.bind_decoder(keys.decode)
+        for cache_key, indices in self.PINNED_INDICES:
+            assert sketch._indices(keys.key_id(*cache_key)) == indices
+
+    def test_policies_pass_the_decoder_to_their_sketch(self):
+        keys = build_default_database().key_space
+        for policy in (WTinyLFUPolicy(), CMSAdmissionLRUPolicy()):
+            policy.bind_key_decoder(keys.decode)
+            key_id = keys.key_id(*key(0, "a0"))
+            assert policy._sketch._indices(key_id) == [3422, 2309, 3207, 1390]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Unit tests for metric collectors and summaries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.metrics.collectors import ClientMetrics, MetricsSummary
+from repro.metrics.collectors import ClientMetrics, MetricsSink, MetricsSummary
+from repro.obs.batches import CacheAccessBatch
 
 
 def make_client(client_id=0, accesses=(), queries=()):
@@ -73,3 +75,59 @@ class TestMetricsSummary:
         assert row.label == "label"
         assert "label" in row.formatted()
         assert row.queries == 1
+
+
+def _fold_state(metrics):
+    return (
+        (metrics.hit.hits, metrics.hit.total),
+        (metrics.error.hits, metrics.error.total),
+        (metrics.disconnected_error.hits, metrics.disconnected_error.total),
+        dict(metrics.hit_series._hits),
+        dict(metrics.hit_series._totals),
+        dict(metrics.error_series._hits),
+        dict(metrics.error_series._totals),
+        metrics.stale_served_accesses,
+        metrics.unanswered_accesses,
+    )
+
+
+_ACCESS = st.tuples(
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
+).map(
+    # (hit, error, answered, connected, stale); unanswered reads are
+    # never errors, as the client guarantees.
+    lambda f: (f[0], f[1] and f[2], f[2], f[3], f[4])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=20_000.0),
+            st.lists(_ACCESS, max_size=12),
+        ),
+        max_size=6,
+    )
+)
+def test_batch_fold_matches_per_access_fold(batches):
+    """Folding a batch leaves the counters exactly where folding its
+    events one by one does."""
+    one_by_one, batched = MetricsSink(), MetricsSink()
+    for time, records in sorted(batches):
+        batch = CacheAccessBatch(time, 3)
+        for hit, error, answered, connected, stale in records:
+            batch.add(
+                ("k", len(batch)), hit, error, answered, connected, stale
+            )
+        for event in batch.events():
+            one_by_one.on_access(event)
+        batched.on_access_batch(batch)
+    assert _fold_state(batched.client(3)) == _fold_state(one_by_one.client(3))
+
+
+def test_batch_fold_rejects_an_unanswered_error():
+    batch = CacheAccessBatch(1.0, 0)
+    batch.add("k", False, True, False, False)
+    with pytest.raises(ValueError, match="unanswered"):
+        MetricsSink().on_access_batch(batch)

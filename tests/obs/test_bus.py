@@ -1,5 +1,6 @@
 """Unit tests for the typed event bus."""
 
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     CacheAccess,
@@ -121,3 +122,63 @@ class TestEventShape:
     def test_optional_age_defaults_to_none(self):
         assert access().age_seconds is None
         assert access(age_seconds=12.5).age_seconds == 12.5
+
+
+class TestBatches:
+    def batch(self, *keys):
+        batch = CacheAccessBatch(3.0, 4, decode=lambda k: ("key", k))
+        for key in keys:
+            batch.add(key, True, False, True, True, age_seconds=1.5)
+        return batch
+
+    def test_batch_handler_gets_the_batch_and_no_events(self):
+        bus = EventBus()
+        singles, batches = [], []
+        bus.subscribe(CacheAccess, singles.append, batches.append)
+        batch = self.batch(1, 2, 3)
+        bus.emit_batch(batch)
+        assert batches == [batch]
+        assert singles == []
+        assert bus.counts == {"CacheAccess": 3}
+
+    def test_other_subscribers_get_expanded_events_in_order(self):
+        bus = EventBus()
+        typed, everything, batches = [], [], []
+        bus.subscribe(CacheAccess, lambda e: None, batches.append)
+        bus.subscribe(CacheAccess, typed.append)
+        bus.subscribe_all(everything.append)
+        bus.emit_batch(self.batch(7, 8))
+        expected = [
+            access(time=3.0, client_id=4, key=("key", key), age_seconds=1.5)
+            for key in (7, 8)
+        ]
+        assert typed == expected
+        assert everything == expected
+        assert len(batches) == 1
+
+    def test_single_emits_still_reach_batch_subscribers_per_event(self):
+        bus = EventBus()
+        singles, batches = [], []
+        bus.subscribe(CacheAccess, singles.append, batches.append)
+        bus.emit(access())
+        assert singles == [access()]
+        assert batches == []
+
+    def test_empty_batch_publishes_nothing(self):
+        bus = EventBus()
+        bus.emit_batch(self.batch())
+        bus.emit(QueryComplete(time=2.0, client_id=0, query_id=1,
+                               response_seconds=0.5, connected=True))
+        bus.emit_batch(self.batch(1))
+        # First-emit order: the empty batch did not register the type.
+        assert list(bus.counts) == ["QueryComplete", "CacheAccess"]
+
+    def test_late_catch_all_switches_batches_to_expansion(self):
+        bus = EventBus()
+        batches, everything = [], []
+        bus.subscribe(CacheAccess, lambda e: None, batches.append)
+        bus.emit_batch(self.batch(1))
+        bus.subscribe_all(everything.append)
+        bus.emit_batch(self.batch(2))
+        assert len(batches) == 2
+        assert [event.key for event in everything] == [("key", 2)]

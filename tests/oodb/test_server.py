@@ -121,7 +121,9 @@ class TestUpdates:
         write_at(100.0, 2)
         write_at(200.0, 3)
         # Two gaps of 100 s each: mean 100, std 0 -> RT = 100 (beta 0).
-        rt = server.attribute_estimator.refresh_time((oid, "a0"))
+        rt = server.attribute_estimator.refresh_time(
+            server.database.key_space.key_id(oid, "a0")
+        )
         assert rt == pytest.approx(100.0)
 
 
