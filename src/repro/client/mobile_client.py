@@ -550,8 +550,20 @@ class MobileClient:
         keys = self.keys
         sizes = keys.sizes
         versions = self._versions
-        cache = self.cache
+        is_stale = ErrorOracle.is_stale
         object_keys = self.granularity.caches_objects
+        # Per-access calls bound once; each still goes through the
+        # cache's, the storage model's and the workload's public methods.
+        key_ids = keys.ids
+        lookup = self.cache.lookup
+        touch = self.cache.touch
+        read_time = self.local_storage.access
+        new_value_for = self.workload.new_value_for
+        wants = self.bus.wants
+        needed = result.needed
+        existent = result.existent
+        deferred = result.deferred
+        updates = result.updates
         # Every access is recorded in one batch, published when the
         # probe ends (or early, before any other event, so a catch-all
         # sink still sees the events in the order they happened).
@@ -562,21 +574,18 @@ class MobileClient:
 
         for access in query.accesses:
             oid = access.oid
-            object_id, attribute_id = keys.ids(oid, access.attribute)
+            attribute = access.attribute
+            object_id, attribute_id = key_ids(oid, attribute)
             # The cached unit: the whole object, or just the attribute.
             if object_keys:
                 key, unit = object_id, None
             else:
-                key, unit = attribute_id, access.attribute
-            entry = cache.lookup(key)
+                key, unit = attribute_id, attribute
+            entry = lookup(key)
             valid = entry is not None and entry.is_valid(now)
             attr_size = sizes[attribute_id]
 
-            if (
-                entry is not None
-                and not valid
-                and self.bus.wants(RefreshExpired)
-            ):
+            if entry is not None and not valid and wants(RefreshExpired):
                 self.bus.emit_batch(accesses)
                 accesses = self._access_batch(now)
                 self.bus.emit(
@@ -590,15 +599,12 @@ class MobileClient:
                 )
 
             if valid:
-                result.local_read_time += self.local_storage.access(
-                    object_id, attr_size
-                )
-                cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(entry.version, versions[key])
+                result.local_read_time += read_time(object_id, attr_size)
+                touch(key, now)
                 accesses.add(
                     key,
                     hit=True,
-                    error=is_error,
+                    error=is_stale(entry.version, versions[key]),
                     answered=True,
                     connected=connected,
                     age_seconds=now - entry.fetched_at,
@@ -609,26 +615,22 @@ class MobileClient:
                     and key not in seen_existent
                 ):
                     seen_existent.add(key)
-                    result.existent.append((oid, unit))
+                    existent.append((oid, unit))
             elif connected:
                 if defer:
-                    result.deferred.append((key, object_id, attr_size))
+                    deferred.append((key, object_id, attr_size))
                 else:
                     accesses.add(
                         key, hit=False, error=False, answered=True, connected=True
                     )
-                self._add_needed(result, seen_needed, key, oid, unit)
             elif entry is not None:
                 # Disconnected: use the expired entry anyway.
-                result.local_read_time += self.local_storage.access(
-                    object_id, attr_size
-                )
-                cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(entry.version, versions[key])
+                result.local_read_time += read_time(object_id, attr_size)
+                touch(key, now)
                 accesses.add(
                     key,
                     hit=False,
-                    error=is_error,
+                    error=is_stale(entry.version, versions[key]),
                     answered=True,
                     connected=False,
                     stale_served=True,
@@ -639,22 +641,26 @@ class MobileClient:
                     key, hit=False, error=False, answered=False, connected=False
                 )
 
-            if (
-                access.is_update
-                and connected
-                and attribute_id not in seen_updates
-            ):
+            if not connected:
+                continue
+            # A connected miss, and the first write of an attribute, put
+            # the unit on the needed list (once per query).
+            need = not valid
+            if access.is_update and attribute_id not in seen_updates:
                 seen_updates.add(attribute_id)
-                self._add_needed(result, seen_needed, key, oid, unit)
-                result.updates.setdefault(oid, []).append(
+                need = True
+                updates.setdefault(oid, []).append(
                     UpdateValue(
-                        attribute=access.attribute,
-                        value=self.workload.new_value_for(
-                            oid, access.attribute
-                        ),
+                        attribute=attribute,
+                        value=new_value_for(oid, attribute),
                         size_bytes=attr_size,
                     )
                 )
+            if need and key not in seen_needed:
+                seen_needed.add(key)
+                attrs = needed.setdefault(oid, [])
+                if unit is not None:
+                    attrs.append(unit)
         self.bus.emit_batch(accesses)
 
         if result.needed and self.granularity in (
@@ -680,6 +686,7 @@ class MobileClient:
         page-mates of needed objects.
         """
         keys = self.keys
+        lookup = self.cache.lookup
         if self.granularity is CachingGranularity.PAGE:
             page_size = self.objects_per_page
             for oid in list(result.needed):
@@ -694,7 +701,7 @@ class MobileClient:
                     key = layout.base + number * layout.stride
                     if key in seen_existent or key in seen_needed:
                         continue
-                    entry = self.cache.lookup(key)
+                    entry = lookup(key)
                     if entry is not None and entry.is_valid(now):
                         seen_existent.add(key)
                         result.held.append((OID(oid.class_name, number), None))
@@ -706,25 +713,9 @@ class MobileClient:
                 key = first + slot
                 if key in seen_existent or key in seen_needed:
                     continue
-                entry = self.cache.lookup(key)
+                entry = lookup(key)
                 if entry is not None and entry.is_valid(now):
                     result.held.append((oid, layout.names[slot]))
-
-    def _add_needed(
-        self,
-        result: "_ProbeResult",
-        seen: set[int],
-        key: int,
-        oid: OID,
-        attribute: str | None,
-    ) -> None:
-        if key in seen:
-            return
-        seen.add(key)
-        if attribute is None:
-            result.needed.setdefault(oid, [])
-        else:
-            result.needed.setdefault(oid, []).append(attribute)
 
     # ------------------------------------------------------------------
     # Absorb phase
@@ -733,22 +724,24 @@ class MobileClient:
         """Admit returned items; return the local disk write time."""
         now = self.env.now
         write_bytes = 0
-        keys = self.keys
+        sizes = self.keys.sizes
+        overhead = self.attribute_entry_overhead
+        admit = self.cache.admit
+        expiry_deadline = reply.expiry_deadline
         for item in reply.items:
-            key = keys.key_id(item.oid, item.attribute)
+            key = item.key_id
             # The object's stored size, or the attribute's plus its
             # cache-table overhead.
-            size = keys.sizes[key]
+            size = sizes[key]
             if item.attribute is not None:
-                size += self.attribute_entry_overhead
-            expires_at = reply.expiry_deadline(item, now)
-            self.cache.admit(
-                key=key,
-                value=item.value,
-                version=item.version,
-                size_bytes=size,
-                now=now,
-                expires_at=expires_at,
+                size += overhead
+            admit(
+                key,
+                item.value,
+                item.version,
+                size,
+                now,
+                expiry_deadline(item, now),
             )
             write_bytes += size
         if not self.granularity.uses_storage_cache:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing as t
 
@@ -14,7 +13,6 @@ from repro.core.granularity import CacheKey
 NEVER_EXPIRES: Seconds = math.inf
 
 
-@dataclasses.dataclass
 class CacheEntry:
     """A cached value plus coherence bookkeeping.
 
@@ -25,18 +23,34 @@ class CacheEntry:
     during disconnection) afterwards.
     """
 
-    key: CacheKey
-    value: t.Any
-    version: int
-    size_bytes: int
-    fetched_at: Seconds
-    expires_at: Seconds = NEVER_EXPIRES
+    __slots__ = (
+        "key", "value", "version", "size_bytes", "fetched_at", "expires_at"
+    )
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(
-                f"entry {self.key!r} must have positive size"
-            )
+    def __init__(
+        self,
+        key: CacheKey,
+        value: t.Any,
+        version: int,
+        size_bytes: int,
+        fetched_at: Seconds,
+        expires_at: Seconds = NEVER_EXPIRES,
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"entry {key!r} must have positive size")
+        self.key = key
+        self.value = value
+        self.version = version
+        self.size_bytes = size_bytes
+        self.fetched_at = fetched_at
+        self.expires_at = expires_at
+
+    def __repr__(self) -> str:
+        return (
+            f"CacheEntry(key={self.key!r}, version={self.version}, "
+            f"size_bytes={self.size_bytes}, fetched_at={self.fetched_at!r}, "
+            f"expires_at={self.expires_at!r})"
+        )
 
     def is_valid(self, now: Seconds) -> bool:
         """Whether the refresh time has not yet expired."""

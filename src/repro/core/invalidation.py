@@ -50,8 +50,10 @@ class InvalidationReport:
 class WriteLog:
     """Server-side log of recent writes, windowed for IR construction.
 
-    Entries older than the retention window are pruned on collection, so
-    memory stays bounded over arbitrarily long simulations.
+    Only invalidation-report coherence uses it: the server records
+    writes only in that mode, and the IR broadcaster prunes entries
+    older than the retention window on collection, so memory stays
+    bounded over arbitrarily long simulations.
     """
 
     def __init__(self) -> None:

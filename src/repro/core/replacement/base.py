@@ -131,9 +131,10 @@ class LazyScoreHeap:
     """Min-heap over (score, key) with lazy invalidation.
 
     Scores may be re-pushed on every access; outdated heap records are
-    skipped at pop time by comparing against the current score table.
-    Gives O(log n) victim selection even for policies whose scores change
-    on every access (LRU-k, LRD, and the duration schemes).
+    skipped at pop time: a record is live only while the score table
+    still holds that very record for its key.  Gives O(log n) victim
+    selection even for policies whose scores change on every access
+    (LRU-k, LRD, and the duration schemes).
 
     Stale records that never reach the top would otherwise live for the
     whole run, so once they outnumber the live ones (plus
@@ -148,7 +149,8 @@ class LazyScoreHeap:
         #: Heap records are (score, seq, key); seq both breaks score ties
         #: deterministically and keeps keys out of comparisons entirely.
         self._heap: list[tuple[t.Any, int, CacheKey]] = []
-        self._scores: dict[CacheKey, tuple[t.Any, int]] = {}
+        #: Each key's live record (the same tuple object as in the heap).
+        self._scores: dict[CacheKey, tuple[t.Any, int, CacheKey]] = {}
         self._seq = 0
 
     def __contains__(self, key: CacheKey) -> bool:
@@ -159,10 +161,13 @@ class LazyScoreHeap:
 
     def set_score(self, key: CacheKey, score: t.Any) -> None:
         """Insert or update ``key``'s score."""
-        self._seq += 1
-        self._scores[key] = (score, self._seq)
-        heapq.heappush(self._heap, (score, self._seq, key))
-        if len(self._heap) > 2 * len(self._scores) + COMPACT_SLACK:
+        seq = self._seq = self._seq + 1
+        record = (score, seq, key)
+        scores = self._scores
+        scores[key] = record
+        heap = self._heap
+        heapq.heappush(heap, record)
+        if len(heap) > 2 * len(scores) + COMPACT_SLACK:
             self._compact()
 
     def score_of(self, key: CacheKey) -> t.Any:
@@ -175,18 +180,31 @@ class LazyScoreHeap:
         if len(self._heap) > 2 * len(self._scores) + COMPACT_SLACK:
             self._compact()
 
+    def top(self) -> tuple[t.Any, int, CacheKey] | None:
+        """The live ``(score, seq, key)`` record on top, or ``None``.
+
+        Drops stale records until the top one is live; one call where a
+        caller would otherwise ask ``len()`` and then :meth:`peek_min`.
+        """
+        heap = self._heap
+        scores = self._scores
+        while heap:
+            record = heap[0]
+            if scores.get(record[2]) is record:
+                return record
+            heapq.heappop(heap)
+        return None
+
     def peek_min(self) -> tuple[t.Any, CacheKey]:
         """Current (score, key) minimum without removing it."""
-        self._settle()
-        if not self._heap:
+        record = self.top()
+        if record is None:
             raise ReplacementError("heap is empty")
-        score, __, key = self._heap[0]
-        return score, key
+        return record[0], record[2]
 
     def pop_min(self) -> CacheKey:
         """Remove and return the key with the minimal current score."""
-        self._settle()
-        if not self._heap:
+        if self.top() is None:
             raise ReplacementError("heap is empty")
         __, __, key = heapq.heappop(self._heap)
         del self._scores[key]
@@ -196,25 +214,10 @@ class LazyScoreHeap:
         """Rebuild the heap from the live records only."""
         # Build order is immaterial: heapify plus unique (score, seq)
         # pairs fix the pop order whatever order the records come in.
-        self._heap = [
-            (score, seq, key)
-            for key, (score, seq) in (
-                self._scores.items()  # repro: noqa REP003 -- see above
-            )
-        ]
+        self._heap = list(
+            self._scores.values()  # repro: noqa REP003 -- see above
+        )
         heapq.heapify(self._heap)
-
-    def _settle(self) -> None:
-        """Drop stale heap records until the top one is live."""
-        heap = self._heap
-        scores = self._scores
-        while heap:
-            __, seq, key = heap[0]
-            live = scores.get(key)
-            if live is None or live[1] != seq:
-                heapq.heappop(heap)
-            else:
-                return
 
 # ----------------------------------------------------------------------
 # Registry

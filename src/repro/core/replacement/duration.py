@@ -101,14 +101,13 @@ class DurationScoredPolicy(ReplacementPolicy):
             young_score = self.young_penalty * (
                 now - self._young[young_key]
             )
-        if len(self._scored):
-            negated, scored_key = self._scored.peek_min()
-            if young_key is None or -negated > young_score:
-                key = self._scored.pop_min()
-                del self._last_access[key]
-                self._drop_state(key)
-                self.last_eviction_score = -negated
-                return key
+        top = self._scored.top()
+        if top is not None and (young_key is None or -top[0] > young_score):
+            key = self._scored.pop_min()
+            del self._last_access[key]
+            self._drop_state(key)
+            self.last_eviction_score = -top[0]
+            return key
         assert young_key is not None
         del self._young[young_key]
         del self._last_access[young_key]
@@ -302,7 +301,10 @@ class EWMAPolicy(ReplacementPolicy):
         else:
             mean = (1.0 - self.alpha) * duration + self.alpha * mean
         self._state[key] = (mean, now)
-        self._detach(key)
+        # A frozen key's frozen and knee records are overwritten below,
+        # so only the other two regimes need clearing.
+        if self._young.pop(key, None) is None:
+            self._drift.discard(key)
         self._frozen.set_score(key, -mean)
         self._knees.set_score(key, now + self.drift_tolerance * mean)
 
@@ -313,11 +315,12 @@ class EWMAPolicy(ReplacementPolicy):
 
     def _migrate_overdue(self, now: float) -> None:
         """Move keys whose knee has passed from frozen to drifting."""
-        while len(self._knees):
-            knee, key = self._knees.peek_min()
-            if knee > now:
+        knees = self._knees
+        while True:
+            top = knees.top()
+            if top is None or top[0] > now:
                 return
-            self._knees.discard(key)
+            key = knees.pop_min()
             self._frozen.discard(key)
             mean, last = self._state[key]
             assert mean is not None
@@ -335,17 +338,14 @@ class EWMAPolicy(ReplacementPolicy):
             key = next(iter(self._young))
             best_key = key
             best_rank = self.young_penalty * (now - self._young[key])
-        if len(self._frozen):
-            negated, key = self._frozen.peek_min()
-            if -negated > best_rank:
-                best_key, best_rank = key, -negated
-        if len(self._drift):
-            negated, key = self._drift.peek_min()
-            rank = (
-                (1.0 - self.alpha) * now / self.drift_tolerance + -negated
-            )
+        top = self._frozen.top()
+        if top is not None and -top[0] > best_rank:
+            best_key, best_rank = top[2], -top[0]
+        top = self._drift.top()
+        if top is not None:
+            rank = (1.0 - self.alpha) * now / self.drift_tolerance + -top[0]
             if rank > best_rank:
-                best_key, best_rank = key, rank
+                best_key, best_rank = top[2], rank
         assert best_key is not None
         self._detach(best_key)
         del self._state[best_key]

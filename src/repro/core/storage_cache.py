@@ -125,12 +125,14 @@ class ClientStorageCache:
                     )
                 )
             return []
-        if size_bytes > self.capacity_bytes:
-            raise CacheError(
-                f"item {key!r} ({size_bytes}B) exceeds cache capacity "
-                f"({self.capacity_bytes}B)"
-            )
-        if self.used_bytes + size_bytes > self.capacity_bytes:
+        if self.used_bytes + size_bytes <= self.capacity_bytes:
+            evicted: list[CacheKey] = []
+        else:
+            if size_bytes > self.capacity_bytes:
+                raise CacheError(
+                    f"item {key!r} ({size_bytes}B) exceeds cache capacity "
+                    f"({self.capacity_bytes}B)"
+                )
             if not self.policy.should_admit(key, now):
                 self.rejections += 1
                 if self.bus.wants(CacheReject):
@@ -144,34 +146,10 @@ class ClientStorageCache:
                         )
                     )
                 return []
-        evicted: list[CacheKey] = []
-        trace_evicts = self.bus.wants(CacheEvict)
-        while self.used_bytes + size_bytes > self.capacity_bytes:
-            victim = self.policy.evict(now)
-            victim_entry = self._entries.pop(victim)
-            self.used_bytes -= victim_entry.size_bytes
-            self.evictions += 1
-            evicted.append(victim)
-            if trace_evicts:
-                self.bus.emit(
-                    CacheEvict(
-                        time=now,
-                        client_id=self.client_id,
-                        cache=self.name,
-                        key=self._event_key(victim),
-                        size_bytes=victim_entry.size_bytes,
-                        score=self.policy.last_eviction_score,
-                    )
-                )
-        entry = CacheEntry(
-            key=key,
-            value=value,
-            version=version,
-            size_bytes=size_bytes,
-            fetched_at=now,
-            expires_at=expires_at,
+            evicted = self._make_room(size_bytes, now)
+        self._entries[key] = CacheEntry(
+            key, value, version, size_bytes, now, expires_at
         )
-        self._entries[key] = entry
         self.used_bytes += size_bytes
         self.policy.on_admit(key, now)
         self.admissions += 1
@@ -188,6 +166,32 @@ class ClientStorageCache:
                     capacity_bytes=self.capacity_bytes,
                 )
             )
+        return evicted
+
+    def _make_room(self, size_bytes: int, now: float) -> list[CacheKey]:
+        """Evict policy victims until ``size_bytes`` more fit."""
+        evicted: list[CacheKey] = []
+        entries = self._entries
+        evict = self.policy.evict
+        trace_evicts = self.bus.wants(CacheEvict)
+        limit = self.capacity_bytes - size_bytes
+        while self.used_bytes > limit:
+            victim = evict(now)
+            victim_entry = entries.pop(victim)
+            self.used_bytes -= victim_entry.size_bytes
+            self.evictions += 1
+            evicted.append(victim)
+            if trace_evicts:
+                self.bus.emit(
+                    CacheEvict(
+                        time=now,
+                        client_id=self.client_id,
+                        cache=self.name,
+                        key=self._event_key(victim),
+                        size_bytes=victim_entry.size_bytes,
+                        score=self.policy.last_eviction_score,
+                    )
+                )
         return evicted
 
     def invalidate(self, key: CacheKey, now: float) -> bool:

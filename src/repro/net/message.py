@@ -37,7 +37,7 @@ class UpdateValue:
     size_bytes: int
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RequestMessage:
     """Client-to-server query request.
 
@@ -52,8 +52,9 @@ class RequestMessage:
     * ``updates`` — attribute writes to apply at the server.
 
     Size accounting groups existent/held entries by object: each distinct
-    OID not already on the wire costs :data:`OID_BYTES`, each attribute
-    id :data:`ATTR_ID_BYTES`.
+    OID on the wire costs :data:`OID_BYTES` once, each attribute id
+    :data:`ATTR_ID_BYTES`.  The size is a sum, so it does not depend on
+    the order of any list; it is computed once, at construction.
     """
 
     client_id: int
@@ -65,63 +66,92 @@ class RequestMessage:
     updates: dict[OID, tuple[UpdateValue, ...]] = dataclasses.field(
         default_factory=dict
     )
+    size_bytes: int = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def size_bytes(self) -> int:
-        size = HEADER_BYTES + QUERY_DESCRIPTOR_BYTES
-        oids_on_wire: set[OID] = set()
-        for oid, attrs in sorted(self.needed.items()):
-            oids_on_wire.add(oid)
-            size += OID_BYTES + len(attrs) * ATTR_ID_BYTES
+    def __post_init__(self) -> None:
+        oids_on_wire = {*self.needed, *self.updates}
+        attribute_ids = sum(
+            len(attrs) for attrs in self.needed.values()
+        ) + sum(len(changes) for changes in self.updates.values())
         for oid, attribute in (*self.existent, *self.held):
-            if oid not in oids_on_wire:
-                oids_on_wire.add(oid)
-                size += OID_BYTES
+            oids_on_wire.add(oid)
             if attribute is not None:
-                size += ATTR_ID_BYTES
-        for oid, changes in sorted(self.updates.items()):
-            if oid not in oids_on_wire:
-                oids_on_wire.add(oid)
-                size += OID_BYTES
-            for change in changes:
-                size += ATTR_ID_BYTES + change.size_bytes
-        return size
+                attribute_ids += 1
+        payload = sum(
+            change.size_bytes
+            for changes in self.updates.values()
+            for change in changes
+        )
+        object.__setattr__(
+            self,
+            "size_bytes",
+            HEADER_BYTES
+            + QUERY_DESCRIPTOR_BYTES
+            + OID_BYTES * len(oids_on_wire)
+            + ATTR_ID_BYTES * attribute_ids
+            + payload,
+        )
 
     @property
     def is_pure_update(self) -> bool:
         return not self.needed and bool(self.updates)
 
 
-@dataclasses.dataclass(frozen=True)
 class ReplyItem:
     """One returned item: an attribute value or a whole object.
 
-    ``attribute`` is ``None`` for whole objects, in which case ``value``
-    is the object's full attribute map and ``version`` its object-level
-    version.  ``refresh_time`` is the server's validity estimate
-    (``inf`` when the item has no write history yet).
+    ``key_id`` is the item's dense cache-key id
+    (:mod:`repro.oodb.keys`), which the client admits under without
+    re-encoding ``(oid, attribute)``.  ``attribute`` is ``None`` for
+    whole objects, in which case ``value`` is the object's full
+    attribute map and ``version`` its object-level version.
+    ``refresh_time`` is the server's validity estimate (``inf`` when the
+    item has no write history yet).  Items are built once per reply and
+    never modified.
     """
 
-    oid: OID
-    attribute: str | None
-    value: t.Any
-    version: int
-    refresh_time: float
-    payload_bytes: int
+    __slots__ = (
+        "oid",
+        "attribute",
+        "value",
+        "version",
+        "refresh_time",
+        "payload_bytes",
+        "key_id",
+    )
+
+    def __init__(
+        self,
+        oid: OID,
+        attribute: str | None,
+        value: t.Any,
+        version: int,
+        refresh_time: float,
+        payload_bytes: int,
+        key_id: int,
+    ) -> None:
+        self.oid = oid
+        self.attribute = attribute
+        self.value = value
+        self.version = version
+        self.refresh_time = refresh_time
+        self.payload_bytes = payload_bytes
+        self.key_id = key_id
+
+    def __repr__(self) -> str:
+        return (
+            f"ReplyItem({self.oid!r}, {self.attribute!r}, v{self.version}, "
+            f"id={self.key_id})"
+        )
 
     @property
     def key(self) -> CacheKey:
         return (self.oid, self.attribute)
 
-    @property
-    def wire_bytes(self) -> int:
-        size = self.payload_bytes + REFRESH_TIME_BYTES
-        if self.attribute is not None:
-            size += ATTR_ID_BYTES
-        return size
 
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ReplyMessage:
     """Server-to-client reply carrying values and refresh times.
 
@@ -129,21 +159,29 @@ class ReplyMessage:
     sends the *requested* items first (completing the query's response)
     and ships hybrid-caching prefetches as a separate trailing message,
     so prefetch traffic loads the downlink without delaying the query
-    that triggered it.
+    that triggered it.  Each distinct OID costs :data:`OID_BYTES` once,
+    and each item its payload, :data:`REFRESH_TIME_BYTES` and, for an
+    attribute, :data:`ATTR_ID_BYTES`; the size is computed at
+    construction.
     """
 
     client_id: int
     query_id: int
     items: tuple[ReplyItem, ...]
     is_trailer: bool = False
+    size_bytes: int = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def size_bytes(self) -> int:
-        size = HEADER_BYTES
-        distinct_oids = {item.oid for item in self.items}
-        size += OID_BYTES * len(distinct_oids)
-        size += sum(item.wire_bytes for item in self.items)
-        return size
+    def __post_init__(self) -> None:
+        oids: set[OID] = set()
+        size = HEADER_BYTES + REFRESH_TIME_BYTES * len(self.items)
+        for item in self.items:
+            oids.add(item.oid)
+            size += item.payload_bytes
+            if item.attribute is not None:
+                size += ATTR_ID_BYTES
+        object.__setattr__(self, "size_bytes", size + OID_BYTES * len(oids))
 
     def expiry_deadline(self, item: ReplyItem, now: float) -> float:
         """Absolute client-side expiry for ``item`` received at ``now``."""

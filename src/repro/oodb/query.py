@@ -28,17 +28,29 @@ class QueryKind(enum.Enum):
     NAVIGATIONAL = "NQ"
 
 
-@dataclasses.dataclass(frozen=True)
 class AttributeAccess:
     """One (object, attribute) touch within a query.
 
     ``is_update`` marks accesses belonging to an updated object: the query
-    reads the attribute and then writes it back at the server.
+    reads the attribute and then writes it back at the server.  A query
+    builds dozens of these, so they are plain slotted records, never
+    modified after construction.
     """
 
-    oid: OID
-    attribute: str
-    is_update: bool = False
+    __slots__ = ("oid", "attribute", "is_update")
+
+    def __init__(
+        self, oid: OID, attribute: str, is_update: bool = False
+    ) -> None:
+        self.oid = oid
+        self.attribute = attribute
+        self.is_update = is_update
+
+    def __repr__(self) -> str:
+        return (
+            f"AttributeAccess(oid={self.oid!r}, attribute={self.attribute!r}, "
+            f"is_update={self.is_update!r})"
+        )
 
     @property
     def item(self) -> tuple[OID, str]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.core.coherence import RefreshTimeEstimator
+from repro.core.entry import NEVER_EXPIRES
 from repro.core.granularity import CachingGranularity
 from repro.core.invalidation import (
     DEFAULT_IR_INTERVAL,
@@ -99,6 +100,8 @@ class DatabaseServer:
         self.ir_interval = float(ir_interval)
         #: Whether IRs carry object keys (OC/NC/PC) or attribute keys.
         self.ir_object_keys = ir_object_keys
+        #: Recent writes for the IR broadcaster; recorded only under
+        #: invalidation-report coherence.
         self.write_log = WriteLog()
         self._deliver_fns: dict[int, DeliverFn] = {}
         self._report_fns: dict[int, t.Callable[[InvalidationReport], None]] = {}
@@ -216,20 +219,25 @@ class DatabaseServer:
         service_time = 0.0
         self.requests_served += 1
         self._record_access_statistics(request)
+        sizes = self.key_space.sizes
+        # Only the invalidation-report broadcaster reads (and prunes)
+        # the write log; under refresh times it would grow forever.
+        log_writes = self.coherence_mode == INVALIDATION_REPORT
 
         for oid, changes in request.updates.items():
             obj = self.database.get(oid)
-            service_time += self.storage.write(oid, obj.size_bytes)
+            object_id = obj.key_id()
+            service_time += self.storage.write(oid, sizes[object_id])
             for change in changes:
                 obj.write(change.attribute, change.value, now)
                 self.attribute_estimator.record_write(
                     obj.key_id(change.attribute), now
                 )
-                if not self.ir_object_keys:
+                if log_writes and not self.ir_object_keys:
                     self.write_log.record((oid, change.attribute), now)
                 self.updates_applied += 1
-            self.object_estimator.record_write(obj.key_id(), now)
-            if self.ir_object_keys:
+            self.object_estimator.record_write(object_id, now)
+            if log_writes and self.ir_object_keys:
                 self.write_log.record((oid, None), now)
 
         items: list[ReplyItem] = []
@@ -237,33 +245,29 @@ class DatabaseServer:
         client_has = _attrs_by_oid(request.existent, request.held)
         held_objects = _object_keys(request.existent, request.held)
         sent_objects: set[OID] = set()
+        granularity = request.granularity
+        hybrid = granularity is CachingGranularity.HYBRID
         for oid, attributes in request.needed.items():
             obj = self.database.get(oid)
-            service_time += self.storage.access(oid, obj.size_bytes)
-            if request.granularity is CachingGranularity.PAGE:
+            service_time += self.storage.access(oid, sizes[obj.key_id()])
+            if granularity is CachingGranularity.PAGE:
                 service_time += self._serve_page(
                     oid, held_objects, sent_objects, items
                 )
-            elif request.granularity.caches_objects:
+            elif granularity.caches_objects:
                 items.append(self._whole_object_item(obj))
             else:
-                for attribute in attributes:
-                    items.append(self._attribute_item(obj, attribute))
-                if request.granularity is CachingGranularity.HYBRID:
-                    prefetched.extend(
-                        self._prefetch_items(
-                            request.client_id,
-                            obj,
-                            set(attributes),
-                            client_has.get(oid, set()),
-                        )
+                self._attribute_items(obj, attributes, items)
+                if hybrid:
+                    self._prefetch_items(
+                        request.client_id,
+                        obj,
+                        set(attributes),
+                        client_has.get(oid, set()),
+                        prefetched,
                     )
         self.items_returned += len(items)
-        reply = ReplyMessage(
-            client_id=request.client_id,
-            query_id=request.query_id,
-            items=tuple(items),
-        )
+        reply_items = tuple(items)
         trailer = None
         if prefetched and self.split_delivery:
             trailer = ReplyMessage(
@@ -273,11 +277,12 @@ class DatabaseServer:
                 is_trailer=True,
             )
         elif prefetched:
-            reply = ReplyMessage(
-                client_id=request.client_id,
-                query_id=request.query_id,
-                items=tuple(items) + tuple(prefetched),
-            )
+            reply_items += tuple(prefetched)
+        reply = ReplyMessage(
+            client_id=request.client_id,
+            query_id=request.query_id,
+            items=reply_items,
+        )
         bus = self.network.bus
         if bus.wants(RequestServed):
             bus.emit(
@@ -331,7 +336,7 @@ class DatabaseServer:
             member_obj = self.database.get(member)
             if member != oid:
                 service_time += self.storage.access(
-                    member, member_obj.size_bytes
+                    member, self.key_space.sizes[member_obj.key_id()]
                 )
             items.append(self._whole_object_item(member_obj))
         return service_time
@@ -340,40 +345,58 @@ class DatabaseServer:
     # Item construction
     # ------------------------------------------------------------------
     def _whole_object_item(self, obj: DBObject) -> ReplyItem:
-        values = {
-            name: obj.read(name) for name in obj.class_def.attribute_names
-        }
-        payload = sum(
-            attribute.size_bytes
-            for attribute in obj.class_def.attributes.values()
-        )
+        object_id = obj.key_id()
+        stride = len(obj.class_def.attributes) + 1
         return ReplyItem(
             oid=obj.oid,
             attribute=None,
-            value=values,
+            value={
+                name: obj.read(name)
+                for name in obj.class_def.attribute_names
+            },
             version=obj.object_version,
-            refresh_time=self._refresh_time(
-                self.object_estimator, obj.key_id()
+            refresh_time=self._refresh_times(self.object_estimator)(object_id),
+            # The attributes' sizes: the object's stored size less its
+            # header.
+            payload_bytes=sum(
+                self.key_space.sizes[object_id + 1:object_id + stride]
             ),
-            payload_bytes=payload,
+            key_id=object_id,
         )
 
-    def _attribute_item(self, obj: DBObject, attribute: str) -> ReplyItem:
-        definition = obj.class_def.attribute(attribute)
-        # One state lookup instead of separate read()/version_of() trips:
-        # this constructor runs per attribute shipped, the hottest spot
-        # of the whole serve path at fleet scale.
-        state = obj.attribute_state(attribute)
-        return ReplyItem(
-            oid=obj.oid,
-            attribute=attribute,
-            value=state.value,
-            version=state.version,
-            refresh_time=self._refresh_time(
-                self.attribute_estimator, obj.key_id(attribute)
-            ),
-            payload_bytes=definition.size_bytes,
-        )
+    def _attribute_items(
+        self,
+        obj: DBObject,
+        attributes: t.Iterable[str],
+        items: list[ReplyItem],
+    ) -> None:
+        """Append one item per attribute of ``obj``, in the given order.
+
+        Runs per attribute shipped, the hottest spot of the serve path:
+        each item comes straight from the attribute's state, the key
+        space's size table and the estimator.
+        """
+        sizes = self.key_space.sizes
+        slots = self.key_space.layout(obj.oid.class_name).slots
+        oid = obj.oid
+        object_id = obj.key_id()
+        state_of = obj.attribute_state
+        refresh_time = self._refresh_times(self.attribute_estimator)
+        append = items.append
+        for attribute in attributes:
+            state = state_of(attribute)
+            key_id = object_id + slots[attribute]
+            append(
+                ReplyItem(
+                    oid,
+                    attribute,
+                    state.value,
+                    state.version,
+                    refresh_time(key_id),
+                    sizes[key_id],
+                    key_id,
+                )
+            )
 
     def _prefetch_items(
         self,
@@ -381,25 +404,26 @@ class DatabaseServer:
         obj: DBObject,
         requested: set[str],
         client_has: set[str],
-    ) -> list[ReplyItem]:
-        """HC extras: hot attributes the client neither asked for nor holds."""
+        items: list[ReplyItem],
+    ) -> None:
+        """Append HC extras: hot attributes the client neither asked for
+        nor holds."""
         hot = self.prefetch_tracker.prefetch_set(client_id, obj.class_def)
         extras = sorted(hot - requested - client_has)
-        items = [self._attribute_item(obj, attribute) for attribute in extras]
-        self.items_prefetched += len(items)
-        return items
+        self._attribute_items(obj, extras, items)
+        self.items_prefetched += len(extras)
 
-    def _refresh_time(
-        self, estimator: RefreshTimeEstimator, item: t.Hashable
-    ) -> float:
-        """Validity duration for an item under the active coherence mode.
+    def _refresh_times(
+        self, estimator: RefreshTimeEstimator
+    ) -> t.Callable[[int], float]:
+        """Validity duration per key id under the active coherence mode.
 
         Under invalidation reports entries stay valid until invalidated,
         so the shipped refresh time is infinite.
         """
         if self.coherence_mode == INVALIDATION_REPORT:
-            return float("inf")
-        return estimator.refresh_time(item)
+            return _never_expires
+        return estimator.refresh_time
 
     def _record_access_statistics(self, request: RequestMessage) -> None:
         """Feed the prefetch tracker with everything the client accessed.
@@ -409,16 +433,17 @@ class DatabaseServer:
         access picture for attribute-grained granularities.
         """
         client_id = request.client_id
+        record_access = self.prefetch_tracker.record_access
         for oid, attributes in request.needed.items():
             for attribute in attributes:
-                self.prefetch_tracker.record_access(
-                    client_id, oid.class_name, attribute
-                )
+                record_access(client_id, oid.class_name, attribute)
         for oid, attribute in request.existent:
             if attribute is not None:
-                self.prefetch_tracker.record_access(
-                    client_id, oid.class_name, attribute
-                )
+                record_access(client_id, oid.class_name, attribute)
+
+
+def _never_expires(key_id: int) -> float:
+    return NEVER_EXPIRES
 
 
 def _attrs_by_oid(*key_lists: tuple) -> dict[OID, set[str]]:

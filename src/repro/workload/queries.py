@@ -10,12 +10,11 @@ probability U, modifying all of its touched attributes).
 
 from __future__ import annotations
 
-import typing as t
-
 from repro.errors import ConfigurationError
 from repro.oodb.database import Database
 from repro.oodb.objects import OID
 from repro.oodb.query import AttributeAccess, Query, QueryKind
+from repro.oodb.schema import AttributeDef
 from repro.sim.rand import RandomStream, cumulative
 from repro.workload.heat import HeatDistribution
 
@@ -95,6 +94,9 @@ class QueryWorkload:
                 skewed_weights(len(self._relationships), attribute_skew)
             )
         self._queries_generated = 0
+        #: Schema definitions :meth:`new_value_for` has looked up, by
+        #: (class name, attribute).
+        self._definitions: dict[tuple[str, str], AttributeDef] = {}
 
     # ------------------------------------------------------------------
     def _pick_primitives(self, count: int) -> list[str]:
@@ -128,23 +130,35 @@ class QueryWorkload:
         index = self._queries_generated
         self._queries_generated += 1
         selected = self.heat.select_objects(index, self.selectivity)
+        navigational = (
+            self.kind is QueryKind.NAVIGATIONAL and bool(self._relationships)
+        )
+        may_update = self.update_probability > 0.0
+        bernoulli = self._rng.bernoulli
 
         accesses: list[AttributeAccess] = []
         for oid in selected:
-            touched: list[tuple[OID, str]] = [
-                (oid, name) for name in self._pick_primitives(
-                    self.attrs_per_object
-                )
-            ]
-            if self.kind is QueryKind.NAVIGATIONAL and self._relationships:
+            names = self._pick_primitives(self.attrs_per_object)
+            if navigational:
                 relationship = self._pick_relationship()
-                touched.append((oid, relationship))
+                names.append(relationship)
                 target = self.database.get(oid).related_oid(relationship)
-                touched.extend(
-                    (target, name)
-                    for name in self._pick_primitives(self.attrs_per_object)
+                target_names = self._pick_primitives(self.attrs_per_object)
+            # Each touched object is updated with probability U, drawn
+            # in first-touch order once its attributes are picked.
+            updated = may_update and bernoulli(self.update_probability)
+            accesses.extend(
+                [AttributeAccess(oid, name, updated) for name in names]
+            )
+            if navigational:
+                if target != oid:
+                    updated = may_update and bernoulli(
+                        self.update_probability
+                    )
+                accesses.extend(
+                    [AttributeAccess(target, name, updated)
+                     for name in target_names]
                 )
-            accesses.extend(self._apply_updates(touched))
         return Query(
             query_id=query_id,
             client_id=self.client_id,
@@ -152,31 +166,19 @@ class QueryWorkload:
             accesses=accesses,
         )
 
-    def _apply_updates(
-        self, touched: list[tuple[OID, str]]
-    ) -> t.Iterator[AttributeAccess]:
-        """Mark whole objects for update with probability U each."""
-        updated: dict[OID, bool] = {}
-        for oid, __ in touched:
-            if oid not in updated:
-                updated[oid] = (
-                    self.update_probability > 0.0
-                    and self._rng.bernoulli(self.update_probability)
-                )
-        for oid, attribute in touched:
-            yield AttributeAccess(
-                oid=oid, attribute=attribute, is_update=updated[oid]
-            )
-
     def new_value_for(self, oid: OID, attribute: str) -> int:
         """Generate the value an update writes.
 
         Relationship attributes must keep pointing at a real object, so
         they get a fresh valid target; primitives get arbitrary tokens.
         """
-        definition = self.database.schema.class_def(
-            oid.class_name
-        ).attribute(attribute)
+        definition = self._definitions.get((oid.class_name, attribute))
+        if definition is None:
+            definition = self._definitions[oid.class_name, attribute] = (
+                self.database.schema.class_def(oid.class_name).attribute(
+                    attribute
+                )
+            )
         if definition.is_relationship:
             population = len(self.database.oids(definition.target_class))
             target = self._rng.randint(0, population - 2)

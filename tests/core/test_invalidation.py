@@ -153,3 +153,20 @@ class TestEndToEndInvalidation:
         simulation.run()
         assert simulation.network.broadcast.messages_carried == 0
         assert all(c.invalidation is None for c in simulation.clients)
+
+    def test_refresh_time_mode_keeps_no_write_log(self):
+        """Only the IR broadcaster prunes the write log, so refresh-time
+        runs must not fill it."""
+        from repro import SimulationConfig
+        from repro.experiments.runner import Simulation
+
+        simulation = Simulation(
+            SimulationConfig(
+                coherence="refresh-time",
+                update_probability=0.3,
+                horizon_hours=0.5,
+            )
+        )
+        simulation.run()
+        assert simulation.server.updates_applied > 0
+        assert len(simulation.server.write_log) == 0

@@ -11,6 +11,7 @@ class TestBasics:
     def test_empty_heap(self):
         heap = LazyScoreHeap()
         assert len(heap) == 0
+        assert heap.top() is None
         with pytest.raises(ReplacementError):
             heap.peek_min()
         with pytest.raises(ReplacementError):
@@ -96,9 +97,14 @@ def test_matches_reference_dict(operations):
             assert heap.pop_min() == expected_key
             del reference[expected_key]
         assert len(heap) == len(reference)
+        top = heap.top()
         if reference:
             score, key = heap.peek_min()
             assert score == min(reference.values())
+            assert top is not None
+            assert (top[0], top[2]) == (score, key)
+        else:
+            assert top is None
 
 
 class _NeverCompacts(LazyScoreHeap):

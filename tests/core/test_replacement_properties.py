@@ -161,3 +161,53 @@ def test_window_estimate_uses_only_window(gaps, window):
     recent = times[-window:]
     expected = (recent[-1] - recent[0]) / (len(recent) - 1)
     assert policy.estimate(key(1), clock) == pytest.approx(expected)
+
+
+#: The duration-scored schemes, whose victims carry a rank.
+SCORED_BUILDERS = {
+    "mean": MeanPolicy,
+    "window": lambda: WindowPolicy(4),
+    "ewma": lambda: EWMAPolicy(0.5),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["admit", "access", "access", "access", "remove", "evict"]
+            ),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=300),
+        ),
+        min_size=20,
+        max_size=200,
+    ),
+)
+@pytest.mark.parametrize("policy_name", sorted(SCORED_BUILDERS))
+def test_victim_has_the_maximal_estimate(policy_name, ops):
+    """Each victim's rank is the largest estimate among the keys
+    resident just before its eviction, whatever regime each key is in."""
+    policy = SCORED_BUILDERS[policy_name]()
+    resident: set = set()
+    clock = 0.0
+    for op, n, gap in ops:
+        clock += gap
+        k = key(n)
+        if op == "admit" and k not in resident:
+            policy.on_admit(k, clock)
+            resident.add(k)
+        elif op == "access" and k in resident:
+            policy.on_access(k, clock)
+        elif op == "remove" and k in resident:
+            policy.remove(k)
+            resident.discard(k)
+        elif op == "evict" and resident:
+            highest = max(policy.estimate(r, clock) for r in resident)
+            victim = policy.evict(clock)
+            assert victim in resident
+            assert policy.last_eviction_score == pytest.approx(
+                highest, rel=1e-9, abs=1e-9
+            )
+            resident.discard(victim)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.granularity import CachingGranularity
+from repro.core.invalidation import INVALIDATION_REPORT
 from repro.errors import NetworkError
 from repro.net.message import RequestMessage, UpdateValue
 from repro.net.network import Network
@@ -125,6 +126,36 @@ class TestUpdates:
             server.database.key_space.key_id(oid, "a0")
         )
         assert rt == pytest.approx(100.0)
+
+
+class TestWriteLog:
+    def request_with_update(self, oid):
+        return make_request(
+            CachingGranularity.ATTRIBUTE,
+            {oid: ("a0",)},
+            updates={oid: (UpdateValue("a0", 1, 80),)},
+        )
+
+    def test_refresh_time_mode_logs_nothing(self, server):
+        server.serve(self.request_with_update(OID("Root", 8)))
+        assert server.updates_applied == 1
+        assert len(server.write_log) == 0
+
+    @pytest.mark.parametrize(
+        ("object_keys", "expected"), [(False, "a0"), (True, None)]
+    )
+    def test_invalidation_reports_log_writes(self, object_keys, expected):
+        env = Environment()
+        server = DatabaseServer(
+            env,
+            build_default_database(50),
+            Network(env),
+            coherence_mode=INVALIDATION_REPORT,
+            ir_object_keys=object_keys,
+        )
+        oid = OID("Root", 8)
+        server.serve(self.request_with_update(oid))
+        assert server.write_log.collect_since(-1.0) == ((oid, expected),)
 
 
 class TestHybridPrefetching:
