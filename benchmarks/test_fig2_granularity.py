@@ -12,18 +12,18 @@ and checks the paper's headline shapes:
 """
 
 from conftest import full_scale, horizon
-from repro.experiments import exp1_granularity, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(2)
 
 
 def test_fig2_granularity(figure_bench):
     hours = horizon(3.0)
     table = figure_bench(
-        lambda: exp1_granularity.run(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table, ["query_kind", "arrival", "heat", "granularity"]
-    ))
+    print(FIGURE.render(table))
 
     base = dict(query_kind="AQ", arrival="poisson", heat="SH")
     nc = table.filter(granularity="NC", **base).rows[0]

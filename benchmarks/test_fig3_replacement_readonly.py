@@ -7,20 +7,18 @@ adapts best of the paper's schemes; NQ responses are about twice AQ's.
 """
 
 from conftest import full_scale, horizon
-from repro.experiments import exp2_replacement_ro, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(3)
 
 
 def test_fig3_replacement_readonly(figure_bench):
     hours = horizon(8.0)
     table = figure_bench(
-        lambda: exp2_replacement_ro.run(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table,
-        ["heat", "query_kind", "arrival", "policy"],
-        metrics=("hit_ratio", "response_time"),
-    ))
+    print(FIGURE.render(table))
 
     def hit(policy, heat="SH", kind="AQ"):
         return table.value(
@@ -36,7 +34,7 @@ def test_fig3_replacement_readonly(figure_bench):
     assert max(hit("mean"), hit("ewma-0.5")) > hit("lrd")
 
     # NQ responses roughly double AQ's (selectivity doubles).
-    for policy in exp2_replacement_ro.POLICIES:
+    for policy in table.dimension_values("policy"):
         aq = table.value(
             "response_time",
             policy=policy, heat="SH", query_kind="AQ", arrival="poisson",

@@ -8,20 +8,18 @@ queue on the shared downlink during bursts.
 
 from conftest import horizon
 from repro import SimulationConfig, run_simulation
-from repro.experiments import exp3_replacement_rw, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(4)
 
 
 def test_fig4_replacement_writes(figure_bench):
     hours = horizon(4.0)
     table = figure_bench(
-        lambda: exp3_replacement_rw.run(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table,
-        ["heat", "query_kind", "arrival", "policy"],
-        metrics=("hit_ratio", "response_time"),
-    ))
+    print(FIGURE.render(table))
 
     # Writes depress hit ratios: compare the EWMA cell against a
     # read-only twin run at the same horizon.
@@ -43,7 +41,7 @@ def test_fig4_replacement_writes(figure_bench):
     # assertable once the horizon reaches the first 07:00 burst; shorter
     # smoke horizons sit entirely in the overnight lull.
     if hours >= 10.0:
-        for policy in exp3_replacement_rw.POLICIES:
+        for policy in table.dimension_values("policy"):
             poisson = table.value(
                 "response_time",
                 policy=policy, heat="SH", query_kind="NQ",

@@ -12,19 +12,18 @@ checks coarse sanity.
 """
 
 from conftest import full_scale, horizon
-from repro.experiments import exp4_adaptivity, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(5)
 
 
 def test_fig5_change_rates(figure_bench):
     hours = horizon(12.0)
     table = figure_bench(
-        lambda: exp4_adaptivity.run_change_rates(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table, ["change_rate", "policy"],
-        metrics=("hit_ratio", "response_time"),
-    ))
+    print(FIGURE.render(table))
 
     assert len(table.rows) == 12
     for row in table.rows:
@@ -33,7 +32,7 @@ def test_fig5_change_rates(figure_bench):
 
     # Faster change rates can only hurt (or leave unchanged) a policy's
     # hit ratio.
-    for policy in exp4_adaptivity.POLICIES:
+    for policy in table.dimension_values("policy"):
         fast = table.value("hit_ratio", policy=policy, change_rate=300)
         slow = table.value("hit_ratio", policy=policy, change_rate=700)
         assert fast <= slow + 0.05

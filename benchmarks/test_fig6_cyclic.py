@@ -9,18 +9,18 @@ pattern.
 """
 
 from conftest import horizon
-from repro.experiments import exp4_adaptivity, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(6)
 
 
 def test_fig6_cyclic(figure_bench):
     hours = horizon(8.0)
     table = figure_bench(
-        lambda: exp4_adaptivity.run_cyclic(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table, ["policy"], metrics=("hit_ratio", "response_time")
-    ))
+    print(FIGURE.render(table))
 
     def hit(policy):
         return table.value("hit_ratio", policy=policy)

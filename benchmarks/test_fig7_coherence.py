@@ -11,18 +11,18 @@ U in {0.1, 0.3, 0.5} and beta in {-1, 0, 1}.  The paper's shapes:
 """
 
 from conftest import horizon
-from repro.experiments import exp5_coherence, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(7)
 
 
 def test_fig7_coherence(figure_bench):
     hours = horizon(4.0)
     table = figure_bench(
-        lambda: exp5_coherence.run(horizon_hours=hours)
+        lambda: FIGURE.run(horizon_hours=hours)
     )
     print()
-    print(report.render_rows(
-        table, ["beta", "update_probability", "granularity"]
-    ))
+    print(FIGURE.render(table))
 
     # OC errors highest, HC at or below AC, wherever object caching
     # actually functions (at beta = -1 with high U the refresh times are
@@ -42,7 +42,7 @@ def test_fig7_coherence(figure_bench):
     # asserted here; the pinned-seed integration suite checks the
     # exposure-regime instance.  What must always hold: more writes can
     # only destroy hits, never create them.
-    for granularity in exp5_coherence.GRANULARITIES:
+    for granularity in table.dimension_values("granularity"):
         hits = [
             table.value(
                 "hit_ratio",
@@ -50,12 +50,12 @@ def test_fig7_coherence(figure_bench):
                 beta=0.0,
                 update_probability=u,
             )
-            for u in exp5_coherence.UPDATE_PROBABILITIES
+            for u in table.dimension_values("update_probability")
         ]
         assert hits == sorted(hits, reverse=True)
 
     # Larger beta: more hits, more errors, faster responses (U = 0.1).
-    for granularity in exp5_coherence.GRANULARITIES:
+    for granularity in table.dimension_values("granularity"):
         def metric(name, beta):
             return table.value(
                 name,

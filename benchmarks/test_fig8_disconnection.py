@@ -5,35 +5,40 @@ serve locally grows with the disconnection duration D, for AC, OC and
 HC alike.  Figure 8d: the overall error rate climbs slowly as more
 clients are disconnected (V), because every extra disconnected client
 adds stale local reads.
+
+Both sweeps run as one table; the D sweep's rows hold V at 5 clients
+and the V sweep's rows hold D at 5 h, so each shape reads its own rows.
 """
 
 from conftest import horizon
-from repro.experiments import exp6_disconnect, report
+from repro.experiments.tables import paper_figure
+
+FIGURE = paper_figure(8)
+DURATIONS_HOURS = (1.0, 4.0, 7.0, 10.0)
+CLIENT_COUNTS = (1, 3, 5, 7, 9)
 
 
-def test_fig8a_c_duration_sweep(figure_bench):
+def test_fig8_disconnection(figure_bench):
     # Disconnection windows keep the paper's true hour-scale durations,
     # so the horizon must be long enough to fit them with room for
-    # connected operation; 16 h is the shortest verified geometry.
+    # connected operation; 16 h is the shortest verified geometry.  It
+    # also keeps V=9 from removing most of the writer pool, which would
+    # invert Figure 8d's slow-growth shape.
     hours = horizon(16.0)
-    table = figure_bench(
-        lambda: exp6_disconnect.run_durations(horizon_hours=hours)
-    )
+    table = figure_bench(lambda: FIGURE.run(horizon_hours=hours))
     print()
-    print(report.render_rows(
-        table,
-        ["granularity", "duration_hours"],
-        metrics=("disconnected_error_rate", "error_rate", "hit_ratio"),
-    ))
+    print(FIGURE.render(table))
 
-    for granularity in exp6_disconnect.GRANULARITIES:
+    for granularity in table.dimension_values("granularity"):
+        # Figures 8a-8c.
         errors = [
             table.value(
                 "disconnected_error_rate",
                 granularity=granularity,
                 duration_hours=d,
+                disconnected_clients=5,
             )
-            for d in exp6_disconnect.DURATIONS_HOURS
+            for d in DURATIONS_HOURS
         ]
         # Strong growth from the shortest to the longest disconnection.
         assert errors[0] < errors[-1]
@@ -41,32 +46,16 @@ def test_fig8a_c_duration_sweep(figure_bench):
         for earlier, later in zip(errors, errors[2:], strict=False):
             assert earlier <= later + 0.05
 
-
-def test_fig8d_client_count_sweep(figure_bench):
-    # 5 h windows inside 16 h keep the disconnected fraction close to
-    # the paper's geometry; shorter horizons make V=9 remove most of
-    # the writer pool and the slow-growth shape inverts.
-    hours = horizon(16.0)
-    table = figure_bench(
-        lambda: exp6_disconnect.run_client_counts(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table,
-        ["granularity", "disconnected_clients"],
-        metrics=("error_rate", "hit_ratio"),
-    ))
-
-    for granularity in exp6_disconnect.GRANULARITIES:
+        # Figure 8d: more disconnected clients -> more stale local reads
+        # overall; the paper calls the increase "relatively slow", so
+        # the tolerance is loose but the end-to-end direction must hold.
         errors = [
             table.value(
                 "error_rate",
                 granularity=granularity,
+                duration_hours=5.0,
                 disconnected_clients=v,
             )
-            for v in exp6_disconnect.CLIENT_COUNTS
+            for v in CLIENT_COUNTS
         ]
-        # More disconnected clients -> more stale local reads overall;
-        # the paper calls the increase "relatively slow", so the
-        # tolerance is loose but the end-to-end direction must hold.
         assert errors[-1] >= errors[0] - 0.01

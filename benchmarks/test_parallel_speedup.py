@@ -12,8 +12,7 @@ import time
 import pytest
 
 from conftest import horizon
-from repro.experiments import exp1_granularity
-from repro.experiments.framework import execute
+from repro.experiments.tables import paper_figure
 
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,
@@ -23,14 +22,14 @@ pytestmark = pytest.mark.skipif(
 
 def test_parallel_speedup_smoke():
     jobs = os.cpu_count() or 1
-    runs = exp1_granularity.build_runs(horizon_hours=horizon(0.5))
+    figure = paper_figure(2)
 
     started = time.perf_counter()
-    serial = execute("exp1", "speedup", runs, jobs=1)
+    serial = figure.run(horizon_hours=horizon(0.5), jobs=1)
     serial_elapsed = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = execute("exp1", "speedup", runs, jobs=jobs)
+    parallel = figure.run(horizon_hours=horizon(0.5), jobs=jobs)
     parallel_elapsed = time.perf_counter() - started
 
     assert serial.rows == parallel.rows

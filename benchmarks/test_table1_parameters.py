@@ -1,7 +1,7 @@
 """Table 1 — parameter settings of the experiments.
 
-Regenerates the paper's Table 1 from the experiment drivers and checks
-it lists exactly the sweeps the code runs.
+Regenerates the paper's Table 1 from the registered scenarios and
+checks it lists exactly the sweeps the code runs.
 """
 
 from repro.experiments.tables import render_table1, table1_rows

@@ -25,6 +25,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,19 +35,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments import (  # noqa: E402
-    exp1_granularity,
-    exp2_replacement_ro,
-    exp3_replacement_rw,
-    exp4_adaptivity,
-    exp5_coherence,
-    exp6_disconnect,
-    exp7_faults,
-    report,
+from repro.experiments.parallel import (  # noqa: E402
+    ParallelExecutor,
+    resolve_jobs,
 )
-from repro.experiments.framework import ExperimentTable, execute  # noqa: E402
-from repro.experiments.parallel import resolve_jobs  # noqa: E402
-from repro.experiments.tables import render_table1  # noqa: E402
+from repro.experiments.tables import (  # noqa: E402
+    PAPER_EXPERIMENTS,
+    render_table1,
+    select_experiments,
+)
 
 #: Reduced horizons per experiment (hours).  Experiment #4's change-rate
 #: sweep needs several hot-set eras (an era is 8-19 h of client time at
@@ -64,71 +61,25 @@ REDUCED_HORIZONS = {
 FULL_HORIZON = 96.0
 
 
-def run_experiment(name, horizon, seed, progress=True, jobs=None,
+def run_experiment(experiment, horizon, seed, progress=True, jobs=None,
                    trace_dir=None):
-    builders = {
-        "exp1": (exp1_granularity.build_runs, "exp1",
-                 exp1_granularity.TITLE),
-        "exp2": (exp2_replacement_ro.build_runs, "exp2",
-                 exp2_replacement_ro.TITLE),
-        "exp3": (exp3_replacement_rw.build_runs, "exp3",
-                 exp3_replacement_rw.TITLE),
-        "exp4_f5": (exp4_adaptivity.build_change_rate_runs, "exp4-f5",
-                    exp4_adaptivity.TITLE_F5),
-        "exp4_f6": (exp4_adaptivity.build_cyclic_runs, "exp4-f6",
-                    exp4_adaptivity.TITLE_F6),
-        "exp5": (exp5_coherence.build_runs, "exp5", exp5_coherence.TITLE),
-        "exp6": (None, "exp6", exp6_disconnect.TITLE),
-        "exp7": (None, "exp7", exp7_faults.TITLE),
-    }
-    build, experiment_id, title = builders[name]
-    if name == "exp6":
-        runs = exp6_disconnect.build_duration_runs(horizon, seed)
-        runs += exp6_disconnect.build_client_count_runs(horizon, seed)
-    elif name == "exp7":
-        runs = exp7_faults.build_loss_runs(horizon, seed)
-        runs += exp7_faults.build_burst_runs(horizon, seed)
-    else:
-        runs = build(horizon, seed)
+    """One figure's point runs, optionally exporting a trace per run."""
+    descriptors = experiment.descriptors(horizon, seed)
     if trace_dir is not None:
         # One JSONL trace per run, named by sweep position so a re-run
         # with the same arguments overwrites rather than accumulates.
-        runs = [
-            (dims, cfg.replaced(
-                trace_path=str(Path(trace_dir) / f"{name}-{i:03d}.jsonl")
+        descriptors = [
+            dataclasses.replace(d, config=d.config.replaced(
+                trace_path=str(
+                    Path(trace_dir) / f"{experiment.key}-{d.index:03d}.jsonl"
+                )
             ))
-            for i, (dims, cfg) in enumerate(runs)
+            for d in descriptors
         ]
-    return execute(experiment_id, title, runs, progress=progress,
-                   jobs=jobs)
-
-
-RENDER_DIMS = {
-    "exp1": ["query_kind", "arrival", "heat", "granularity"],
-    "exp2": ["heat", "query_kind", "arrival", "policy"],
-    "exp3": ["heat", "query_kind", "arrival", "policy"],
-    "exp4_f5": ["change_rate", "policy"],
-    "exp4_f6": ["policy"],
-    "exp5": ["beta", "update_probability", "granularity"],
-    "exp6": ["granularity", "duration_hours", "disconnected_clients"],
-    "exp7": ["granularity", "loss_rate", "burst", "retry_budget"],
-}
-
-RENDER_METRICS = {
-    "exp6": (
-        "disconnected_error_rate",
-        "error_rate",
-        "hit_ratio",
-    ),
-    "exp7": (
-        "hit_ratio",
-        "response_time",
-        "drops",
-        "retries",
-        "timeouts",
-        "degraded",
-    ),
-}
+    executor = ParallelExecutor(jobs=jobs, progress=progress)
+    return experiment.table(
+        executor.run(experiment.experiment_id, descriptors)
+    )
 
 
 def main() -> int:
@@ -154,17 +105,10 @@ def main() -> int:
     args = parser.parse_args()
     jobs = resolve_jobs(os.cpu_count() if args.jobs is None else args.jobs)
 
-    keys = list(REDUCED_HORIZONS)
-    if args.only:
-        wanted = set()
-        for token in args.only:
-            if token in REDUCED_HORIZONS:
-                wanted.add(token)
-            elif token == "4":
-                wanted.update(("exp4_f5", "exp4_f6"))
-            else:
-                wanted.add(f"exp{token}")
-        keys = [k for k in keys if k in wanted]
+    experiments = (
+        select_experiments(args.only) if args.only
+        else list(PAPER_EXPERIMENTS)
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,7 +125,7 @@ def main() -> int:
         "full": bool(args.full),
         "horizon_override_hours": args.horizon,
         "cpu_count": os.cpu_count(),
-        "experiments": keys,
+        "experiments": [experiment.key for experiment in experiments],
     }
 
     def flush():
@@ -199,15 +143,17 @@ def main() -> int:
         )
         (out_dir / "reproduction.txt").write_text("\n".join(rendered))
 
-    for key in keys:
+    for experiment in experiments:
+        key = experiment.key
         horizon = FULL_HORIZON if args.full else REDUCED_HORIZONS[key]
         if args.horizon is not None:
             horizon = args.horizon
         print(f"=== {key} @ {horizon:g} h (jobs={jobs}) ===",
               file=sys.stderr, flush=True)
         experiment_started = time.time()
-        table: ExperimentTable = run_experiment(
-            key, horizon, args.seed, jobs=jobs, trace_dir=args.trace_dir
+        table = run_experiment(
+            experiment, horizon, args.seed, jobs=jobs,
+            trace_dir=args.trace_dir,
         )
         experiment_elapsed = time.time() - experiment_started
         for row in table.rows:
@@ -242,12 +188,7 @@ def main() -> int:
             )
         print(f"=== {key} done in {experiment_elapsed:.1f}s "
               f"({len(table.rows)} runs) ===", file=sys.stderr, flush=True)
-        metrics = RENDER_METRICS.get(
-            key, ("hit_ratio", "response_time", "error_rate")
-        )
-        rendered.append(
-            report.render_rows(table, RENDER_DIMS[key], metrics=metrics)
-        )
+        rendered.append(experiment.render(table))
         rendered.append("")
         flush()
 

@@ -26,17 +26,20 @@ import sys
 import typing as t
 
 from repro.core.replacement import available_policies
-from repro.experiments import report
 from repro.experiments.config import (
     ARRIVAL_PATTERNS,
     GRANULARITIES,
     HEAT_PATTERNS,
     QUERY_KINDS,
     SimulationConfig,
+    default_horizon_hours,
 )
-from repro.experiments.framework import default_horizon_hours
 from repro.experiments.runner import run_simulation
-from repro.experiments.tables import render_table1
+from repro.experiments.tables import (
+    PAPER_EXPERIMENTS,
+    render_table1,
+    select_experiments,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -460,81 +463,6 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _run_experiment(number: str, hours: float | None, seed: int,
-                    progress: bool, jobs: int | None = None) -> None:
-    from repro.experiments import (
-        exp1_granularity,
-        exp2_replacement_ro,
-        exp3_replacement_rw,
-        exp4_adaptivity,
-        exp5_coherence,
-        exp6_disconnect,
-        exp7_faults,
-    )
-
-    if number == "1":
-        table = exp1_granularity.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["query_kind", "arrival", "heat", "granularity"]
-        ))
-    elif number == "2":
-        table = exp2_replacement_ro.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["heat", "query_kind", "arrival", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-    elif number == "3":
-        table = exp3_replacement_rw.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["heat", "query_kind", "arrival", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-    elif number == "4":
-        table = exp4_adaptivity.run_change_rates(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["change_rate", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-        print()
-        cyclic = exp4_adaptivity.run_cyclic(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            cyclic, ["policy"], metrics=("hit_ratio", "response_time")
-        ))
-    elif number == "5":
-        table = exp5_coherence.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["beta", "update_probability", "granularity"]
-        ))
-    elif number == "6":
-        table = exp6_disconnect.run_durations(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["granularity", "duration_hours"],
-            metrics=("disconnected_error_rate", "error_rate", "hit_ratio"),
-        ))
-        print()
-        counts = exp6_disconnect.run_client_counts(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            counts, ["granularity", "disconnected_clients"],
-            metrics=("error_rate", "hit_ratio"),
-        ))
-    elif number == "7":
-        table = exp7_faults.run_losses(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["granularity", "loss_rate", "retry_budget"],
-            metrics=("hit_ratio", "response_time", "drops",
-                     "retries", "timeouts", "degraded"),
-        ))
-        print()
-        bursts = exp7_faults.run_bursts(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            bursts, ["granularity", "retry_budget"],
-            metrics=("hit_ratio", "response_time", "drops",
-                     "retries", "timeouts", "degraded"),
-        ))
-    else:
-        raise SystemExit(f"unknown experiment {number!r}; use 1-7 or 'all'")
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.errors import ScenarioError, StatisticsError
     from repro.experiments.report import render_ci_rows
@@ -586,14 +514,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    numbers = (
-        ["1", "2", "3", "4", "5", "6", "7"]
+    experiments = (
+        list(PAPER_EXPERIMENTS)
         if args.number == "all"
-        else [args.number]
+        else select_experiments([args.number])
     )
-    for number in numbers:
-        _run_experiment(number, args.hours, args.seed, not args.quiet,
-                        jobs=args.jobs)
+    if not experiments:
+        raise SystemExit(
+            f"unknown experiment {args.number!r}; use 1-7 or 'all'"
+        )
+    for experiment in experiments:
+        table = experiment.run(
+            args.hours, args.seed, jobs=args.jobs, progress=not args.quiet
+        )
+        print(experiment.render(table))
         print()
     return 0
 

@@ -1,30 +1,31 @@
-"""Experiment drivers: one module per paper figure, plus Table 1.
+"""Experiments: the scenario registry, its executor and the figures.
+
+Every sweep runs through one path: a registered scenario
+(:mod:`repro.experiments.scenarios`) expands into run descriptors, the
+:class:`ParallelExecutor` runs them, and the outcomes fold into either
+replicated confidence intervals (``run_scenario``) or a figure's point
+table (``point_table``).  :mod:`repro.experiments.tables` names the
+paper's figures and Table 1 over that registry.
 
 Quick use::
 
-    from repro.experiments import exp1_granularity, report
+    from repro.experiments.tables import paper_figure
 
-    table = exp1_granularity.run(horizon_hours=8)
-    print(report.render_rows(
-        table, ["granularity", "query_kind", "arrival", "heat"]
-    ))
+    figure2 = paper_figure(2)
+    print(figure2.render(figure2.run(horizon_hours=8)))
 """
 
-from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import (
-    ExperimentRow,
-    ExperimentTable,
+from repro.experiments.config import (
     FAST_HORIZON_HOURS,
     FULL_HORIZON_HOURS,
+    SimulationConfig,
     default_horizon_hours,
-    execute,
 )
 from repro.experiments.parallel import (
     ParallelExecutor,
     RunDescriptor,
     RunFailure,
     RunOutcome,
-    build_descriptors,
     resolve_jobs,
 )
 from repro.experiments.runner import (
@@ -34,8 +35,6 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ExperimentRow",
-    "ExperimentTable",
     "FAST_HORIZON_HOURS",
     "FULL_HORIZON_HOURS",
     "ParallelExecutor",
@@ -45,9 +44,7 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "SimulationResult",
-    "build_descriptors",
     "default_horizon_hours",
-    "execute",
     "resolve_jobs",
     "run_simulation",
 ]

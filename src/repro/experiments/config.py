@@ -10,6 +10,7 @@ replacement, U = 0.1, beta = 0, 96 simulated hours.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 from repro._units import (
     Bps,
@@ -34,6 +35,18 @@ QUERY_KINDS = ("AQ", "NQ")
 #: Granularity labels (PC is the conventional page-caching baseline the
 #: paper's Section 2 argues against).
 GRANULARITIES = ("NC", "AC", "OC", "HC", "PC")
+
+#: The paper's horizon (hours).
+FULL_HORIZON_HOURS: Hours = 96.0
+#: Default reduced horizon for benchmarks and smoke runs.
+FAST_HORIZON_HOURS: Hours = 8.0
+
+
+def default_horizon_hours() -> Hours:
+    """Choose the horizon: paper scale iff ``REPRO_FULL=1`` is set."""
+    if os.environ.get("REPRO_FULL", "") == "1":
+        return FULL_HORIZON_HOURS
+    return FAST_HORIZON_HOURS
 
 
 @dataclasses.dataclass

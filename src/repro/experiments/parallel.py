@@ -1,7 +1,7 @@
 """Parallel execution engine for experiment sweeps.
 
-Every experiment driver declares an ordered list of runs; this module
-fans that list out over a ``multiprocessing`` pool.  The engine's
+The scenario layer declares an ordered list of runs; this module fans
+that list out over a ``multiprocessing`` pool.  The engine's
 contract, which the determinism test suite locks down:
 
 * **Bit-identical results at any worker count.**  Each run is a pure
@@ -23,15 +23,9 @@ Worker-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  ``jobs=0`` means
 "all cores" (``os.cpu_count()``).
 
-Seed handling: by default every run keeps its config's own seed, which
-for the paper sweeps means *common random numbers* across the
-configurations of one experiment — the classic variance-reduction
-discipline for comparing policies (see :mod:`repro.sim.rand`).  Passing
-``decorrelate_seeds=True`` to :func:`build_descriptors` instead derives
-each run's seed via :func:`repro.sim.rand.spawn_seed` from the run's
-*content key* — a stable digest of the config minus its seed — so
-distinct runs draw decorrelated streams while a given configuration's
-stream never depends on its position in the run list.
+Every run keeps its config's own seed; the scenario layer
+(:mod:`repro.experiments.scenarios`) decides the seeds when it builds
+the descriptors, so the executor never touches a random stream.
 """
 
 from __future__ import annotations
@@ -46,13 +40,7 @@ import typing as t
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro._units import WallSeconds
-from repro.errors import SimulationError
 from repro.experiments.config import SimulationConfig
-from repro.sim.rand import spawn_seed
-
-if t.TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import SimulationResult
-    from repro.metrics.collectors import MetricsSummary
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -86,8 +74,9 @@ def config_key(config: SimulationConfig) -> str:
     """A stable content key for a config, independent of its seed.
 
     Two runs with identical parameters map to the same key no matter
-    where they sit in a run list, so seed decorrelation keyed on this
-    never depends on declaration order.
+    where they sit in a run list, so the key names a configuration
+    (benchmark digests and run-plan pins hash it) and the seed names
+    its random streams.
     """
     parts = [
         f"{field.name}={getattr(config, field.name)!r}"
@@ -139,30 +128,6 @@ class RunFailure:
     dims: dict[str, t.Any]
     label: str
     traceback: str
-
-
-def build_descriptors(
-    runs: t.Sequence[tuple[dict[str, t.Any], SimulationConfig]],
-    decorrelate_seeds: bool = False,
-) -> list[RunDescriptor]:
-    """Turn a driver's ``(dims, config)`` list into run descriptors.
-
-    With ``decorrelate_seeds`` every config is re-seeded via
-    ``spawn_seed(config.seed, config_key(config))`` — content-keyed, so
-    reordering the run list never changes a given configuration's
-    stream.  The default keeps each config's seed untouched (common
-    random numbers across a sweep).
-    """
-    descriptors = []
-    for index, (dims, config) in enumerate(runs):
-        if decorrelate_seeds:
-            config = config.replaced(
-                seed=spawn_seed(config.seed, config_key(config))
-            )
-        descriptors.append(
-            RunDescriptor(index=index, dims=dict(dims), config=config)
-        )
-    return descriptors
 
 
 def execute_descriptor(descriptor: RunDescriptor) -> RunOutcome:
@@ -294,194 +259,3 @@ class ParallelExecutor:
                     )
                     outcomes[outcome.index] = outcome
         return [outcomes[d.index] for d in descriptors]
-
-
-# ----------------------------------------------------------------------
-# Population sharding: one large fleet split across worker processes
-# ----------------------------------------------------------------------
-#
-# A single fleet-scale run is CPU-bound on one core.  Sharded mode
-# splits the client population into ``shards`` independent *cells* —
-# each with its own server replica, uplink/downlink pair and client
-# subset — runs the cells across the process pool, and merges their
-# per-shard metrics and channel state into one fleet-level view.
-#
-# Sharding is a *modelling choice*, not a decomposition of the
-# monolithic run: clients contend for the wireless channel only within
-# their own cell, exactly as a multi-cell deployment would behave.  What
-# the determinism suite pins instead: the sharded result is a pure
-# function of ``(config, shards)`` — worker count and completion order
-# never change a byte (serial ``jobs=1`` ≡ pooled ``jobs=N``).
-#
-# Seeding rides the existing ``spawn_seed`` hierarchy: shard ``i`` of
-# ``n`` derives ``spawn_seed(config.seed, "shard:i/n")``, so shard
-# streams are decorrelated from each other and from the unsharded run,
-# and a shard's stream never depends on pool scheduling.
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """One cell of a sharded fleet, picklable for a worker process."""
-
-    index: int
-    shards: int
-    #: Global id of this shard's first client; shard-local client ids
-    #: are offset by this at merge time so fleet-level ids stay unique.
-    client_base: int
-    config: SimulationConfig
-
-
-@dataclasses.dataclass
-class FleetResult:
-    """Merged whole-fleet view over the per-shard simulation results."""
-
-    config: SimulationConfig
-    shards: int
-    #: Client-level metrics merged across every shard (client ids
-    #: relabelled to the global numbering).
-    summary: "MetricsSummary"
-    #: Kernel events processed, summed over shards.
-    events_processed: int
-    requests_served: int
-    raw_bytes: float
-    goodput_bytes: float
-    #: Mean utilisation across the per-cell channels.
-    uplink_utilization: float
-    downlink_utilization: float
-    #: Bus emissions per event type, summed over shards.
-    event_counts: dict[str, int]
-    per_shard: "list[SimulationResult]"
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.summary.clients)
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.summary.hit_ratio
-
-    @property
-    def response_time(self) -> float:
-        return self.summary.response_time
-
-    @property
-    def error_rate(self) -> float:
-        return self.summary.error_rate
-
-
-def plan_shards(config: SimulationConfig, shards: int) -> list[ShardPlan]:
-    """Split ``config``'s client population into per-cell configs.
-
-    Clients spread as evenly as possible (the first ``n % shards``
-    cells take one extra).  Each cell's config is the fleet config with
-    its own client count and a ``spawn_seed``-derived seed; nothing
-    else changes, so per-client workload parameters are identical
-    across cells.
-    """
-    if shards < 1:
-        raise SimulationError(f"shards must be >= 1, got {shards!r}")
-    if shards > config.num_clients:
-        raise SimulationError(
-            f"cannot split {config.num_clients} clients into "
-            f"{shards} shards"
-        )
-    base_size, remainder = divmod(config.num_clients, shards)
-    plans = []
-    client_base = 0
-    for index in range(shards):
-        size = base_size + (1 if index < remainder else 0)
-        plans.append(
-            ShardPlan(
-                index=index,
-                shards=shards,
-                client_base=client_base,
-                config=config.replaced(
-                    num_clients=size,
-                    seed=spawn_seed(config.seed, f"shard:{index}/{shards}"),
-                ),
-            )
-        )
-        client_base += size
-    return plans
-
-
-def merge_shards(
-    plans: t.Sequence[ShardPlan],
-    outcomes: t.Sequence[RunOutcome],
-    config: SimulationConfig,
-) -> FleetResult:
-    """Fold per-shard outcomes into one :class:`FleetResult`.
-
-    Client-additive metrics merge exactly (the collectors' ``merge``
-    machinery is order-insensitive); channel utilisations are averaged
-    across cells.  A failed shard aborts the merge — a fleet missing a
-    cell would silently misreport every headline number.
-    """
-    from repro.metrics.collectors import MetricsSummary
-
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures:
-        details = "\n".join(
-            f"shard {outcome.index}: {outcome.error}"
-            for outcome in failures
-        )
-        raise SimulationError(
-            f"{len(failures)} of {len(plans)} shards failed:\n{details}"
-        )
-    results: "list[SimulationResult]" = [
-        outcome.result for outcome in outcomes
-    ]
-    clients = []
-    event_counts: dict[str, int] = {}
-    for plan, result in zip(plans, results):
-        for metrics in result.summary.clients:
-            # Shard-local ids become global fleet ids at merge
-            # time; no bus event carries this relabelling.
-            metrics.client_id += plan.client_base  # repro: noqa REP008 -- id relabel
-            clients.append(metrics)
-        for name, count in result.event_counts.items():
-            event_counts[name] = event_counts.get(name, 0) + count
-    cells = len(results)
-    return FleetResult(
-        config=config,
-        shards=cells,
-        summary=MetricsSummary(clients),
-        events_processed=sum(r.events_processed for r in results),
-        requests_served=sum(r.requests_served for r in results),
-        raw_bytes=sum(r.raw_bytes for r in results),
-        goodput_bytes=sum(r.goodput_bytes for r in results),
-        uplink_utilization=(
-            sum(r.uplink_utilization for r in results) / cells
-        ),
-        downlink_utilization=(
-            sum(r.downlink_utilization for r in results) / cells
-        ),
-        event_counts=event_counts,
-        per_shard=results,
-    )
-
-
-def run_sharded(
-    config: SimulationConfig,
-    shards: int,
-    jobs: int | None = None,
-    progress: bool = False,
-) -> FleetResult:
-    """Run one large client population as ``shards`` cells in parallel.
-
-    ``jobs`` resolves exactly as everywhere else (explicit arg >
-    ``REPRO_JOBS`` > serial) and only controls wall-clock: the merged
-    result is bit-identical at any worker count.
-    """
-    plans = plan_shards(config, shards)
-    descriptors = [
-        RunDescriptor(
-            index=plan.index,
-            dims={"shard": plan.index},
-            config=plan.config,
-        )
-        for plan in plans
-    ]
-    executor = ParallelExecutor(jobs=jobs, progress=progress)
-    outcomes = executor.run(f"fleet-x{shards}", descriptors)
-    return merge_shards(plans, outcomes, config)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.experiments.framework import ExperimentRow, ExperimentTable
+from repro.experiments.scenarios.run import ExperimentTable
 
 if t.TYPE_CHECKING:
     from repro.experiments.scenarios.run import ScenarioResult
@@ -155,63 +155,3 @@ def render_ci_rows(
         for failure in result.failures:
             lines.append(f"  {failure.label}")
     return "\n".join(lines)
-
-
-def render_matrix(
-    table: ExperimentTable,
-    row_dim: str,
-    column_dim: str,
-    metric: str,
-    **fixed: t.Any,
-) -> str:
-    """A paper-figure-style grid: one metric, rows x columns."""
-    filtered = table.filter(**fixed)
-    row_values = filtered.dimension_values(row_dim)
-    column_values = filtered.dimension_values(column_dim)
-    __, formatter = _METRICS[metric]
-    label_width = max(
-        [len(str(v)) for v in row_values] + [len(row_dim)]
-    )
-    cell_width = 9
-    title_bits = ", ".join(f"{k}={v}" for k, v in fixed.items())
-    lines = [f"{metric} [{title_bits}]" if fixed else metric]
-    header = str(row_dim).ljust(label_width) + "  " + "  ".join(
-        str(c).rjust(cell_width) for c in column_values
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row_value in row_values:
-        cells = []
-        for column_value in column_values:
-            matching = filtered.filter(
-                **{row_dim: row_value, column_dim: column_value}
-            ).rows
-            if len(matching) == 1:
-                cells.append(
-                    formatter(getattr(matching[0], metric)).rjust(cell_width)
-                )
-            else:
-                cells.append("-".rjust(cell_width))
-        lines.append(
-            str(row_value).ljust(label_width) + "  " + "  ".join(cells)
-        )
-    return "\n".join(lines)
-
-
-def summarize_best(
-    table: ExperimentTable, group_dim: str, metric: str = "hit_ratio",
-    maximize: bool = True,
-) -> list[tuple[t.Any, ExperimentRow]]:
-    """Best row per value of ``group_dim`` (highest/lowest metric)."""
-    best: dict[t.Any, ExperimentRow] = {}
-    for row in table.rows:
-        group = row.dims.get(group_dim)
-        current = best.get(group)
-        value = getattr(row, metric)
-        if (
-            current is None
-            or (maximize and value > getattr(current, metric))
-            or (not maximize and value < getattr(current, metric))
-        ):
-            best[group] = row
-    return sorted(best.items(), key=lambda kv: str(kv[0]))

@@ -4,7 +4,9 @@ A scenario is a declarative spec (dict or TOML) naming a base config,
 the swept dimensions, a replication count and a warm-up fraction; the
 registry holds the paper's experiments as specs, the plan expands them
 into seeded runs, and the runner aggregates warm-up-truncated metrics
-into per-cell confidence intervals.  See DESIGN.md §13 for the seed
+into per-cell confidence intervals.  Point runs (one run per cell at
+the caller's seed) come out as an :class:`ExperimentTable` of whole-run
+metrics instead.  See DESIGN.md §13 for the seed
 hierarchy and EXPERIMENTS.md for the methodology.
 """
 
@@ -12,6 +14,7 @@ from repro.experiments.scenarios.plan import (
     REPLICATION_DIM,
     PlannedRun,
     ReplicationPlan,
+    point_descriptors,
 )
 from repro.experiments.scenarios.registry import (
     get_scenario,
@@ -24,8 +27,11 @@ from repro.experiments.scenarios.registry import (
 from repro.experiments.scenarios.run import (
     METRICS,
     CellResult,
+    ExperimentRow,
+    ExperimentTable,
     ScenarioResult,
     collect_outcomes,
+    point_table,
     replication_metrics,
     run_scenario,
 )
@@ -50,6 +56,8 @@ __all__ = [
     "Cell",
     "CellResult",
     "Dimension",
+    "ExperimentRow",
+    "ExperimentTable",
     "MetricStats",
     "PlannedRun",
     "ReplicationPlan",
@@ -59,6 +67,8 @@ __all__ = [
     "collect_outcomes",
     "get_scenario",
     "load_toml",
+    "point_descriptors",
+    "point_table",
     "register",
     "register_dict",
     "register_toml",

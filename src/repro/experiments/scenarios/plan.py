@@ -11,6 +11,11 @@ from the scenario base seed via
 * distinct replications draw decorrelated streams;
 * nothing depends on run-list position or worker scheduling, so the
   plan is bit-identical under any ``--jobs`` and any execution order.
+
+:func:`point_descriptors` is the single-run counterpart the paper's
+figure tables use: one run per cell, at the caller's own seed (common
+random numbers across every cell), from the same
+``Scenario.cells()``/``Scenario.build_config`` calls.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ class ReplicationPlan:
         seed: int = 42,
         extra_base: "t.Mapping[str, t.Any] | None" = None,
     ) -> None:
-        from repro.experiments.framework import default_horizon_hours
-
         self.scenario = scenario
         self.replications = (
             replications
@@ -60,11 +63,7 @@ class ReplicationPlan:
             raise ValueError(
                 f"replications must be >= 1, got {self.replications!r}"
             )
-        self.horizon_hours = (
-            horizon_hours
-            if horizon_hours is not None
-            else (scenario.horizon_hours or default_horizon_hours())
-        )
+        self.horizon_hours = scenario.resolve_horizon(horizon_hours)
         self.base_seed = seed
         self.extra_base = dict(extra_base) if extra_base else {}
         self.cells = scenario.cells()
@@ -104,3 +103,27 @@ class ReplicationPlan:
 
     def descriptors(self) -> list[RunDescriptor]:
         return [self.descriptor(run) for run in self.runs()]
+
+
+def point_descriptors(
+    scenarios: t.Sequence[Scenario],
+    horizon_hours: "float | None" = None,
+    seed: int = 42,
+) -> list[RunDescriptor]:
+    """One run per cell of each scenario, in order, at ``seed`` itself.
+
+    Indices run on across the scenarios, so several scenarios (a
+    figure's sub-sweeps) form one declaration-ordered run list.
+    """
+    descriptors = []
+    for scenario in scenarios:
+        horizon = scenario.resolve_horizon(horizon_hours)
+        for cell in scenario.cells():
+            descriptors.append(
+                RunDescriptor(
+                    index=len(descriptors),
+                    dims=cell.dims_dict(),
+                    config=scenario.build_config(cell, horizon, seed),
+                )
+            )
+    return descriptors

@@ -22,6 +22,11 @@ Wall-clock times and the worker count are deliberately excluded — the
 envelope is a pure function of (scenario, horizon, seed, replications,
 warm-up, confidence), so ``--jobs`` and execution order cannot perturb
 a single byte of it.
+
+Point runs — one run per cell at the caller's seed, as the paper's
+figure tables use them — skip the aggregation: :func:`point_table`
+turns their outcomes into an :class:`ExperimentTable` of whole-run
+metrics.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import dataclasses
 import json
 import typing as t
 
-from repro._units import HOUR
+from repro._units import Bytes, HOUR, Ratio, Seconds, WallSeconds
 from repro.errors import StatisticsError
 from repro.experiments.parallel import (
     ParallelExecutor,
@@ -183,6 +188,15 @@ class ScenarioResult:
         return json.dumps(self.envelope(), indent=indent, sort_keys=False)
 
 
+def _failure(outcome: RunOutcome) -> RunFailure:
+    return RunFailure(
+        index=outcome.index,
+        dims=outcome.dims,
+        label=outcome.label,
+        traceback=t.cast(str, outcome.error),
+    )
+
+
 def collect_outcomes(
     plan: ReplicationPlan,
     outcomes: t.Sequence[RunOutcome],
@@ -217,14 +231,7 @@ def collect_outcomes(
         for replication in range(reps):
             outcome = by_index[cell_index * reps + replication]
             if not outcome.ok:
-                failures.append(
-                    RunFailure(
-                        index=outcome.index,
-                        dims=outcome.dims,
-                        label=outcome.label,
-                        traceback=t.cast(str, outcome.error),
-                    )
-                )
+                failures.append(_failure(outcome))
                 continue
             completed += 1
             metrics = replication_metrics(outcome.result, warmup)
@@ -309,3 +316,101 @@ def run_scenario(
         warmup_fraction=warmup,
         invariants=invariants,
     )
+
+
+@dataclasses.dataclass
+class ExperimentRow:
+    """One completed point run: its dimensions plus whole-run metrics."""
+
+    dims: dict[str, t.Any]
+    hit_ratio: Ratio
+    response_time: Seconds
+    error_rate: Ratio
+    queries: int
+    disconnected_error_rate: Ratio = 0.0
+    #: Bytes of request messages that entered the uplink (the paper's
+    #: scarce resource; the third headline metric of scenario reports).
+    uplink_bytes: Bytes = 0.0
+    # -- fault-injection / recovery counters (Experiment #7) ------------
+    drops: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    degraded: int = 0
+    #: Per-type bus-event tally of the run (deterministic for a given
+    #: config, so serial and parallel sweeps must agree exactly).
+    event_counts: dict[str, int] = dataclasses.field(default_factory=dict)
+    #: Wall-clock cost of the run (not a simulation output; excluded
+    #: from result-equivalence comparisons).
+    elapsed_seconds: WallSeconds = dataclasses.field(default=0.0, compare=False)
+
+
+@dataclasses.dataclass
+class ExperimentTable:
+    """All point runs of one figure, in declaration order."""
+
+    experiment_id: str
+    title: str
+    rows: list[ExperimentRow]
+    #: Runs that raised inside their worker (label + traceback); the
+    #: sweep carries on past them, so a table can be partial.
+    failures: list[RunFailure] = dataclasses.field(default_factory=list)
+
+    def filter(self, **dims: t.Any) -> "ExperimentTable":
+        """Rows whose dimensions match all given values."""
+        matching = [
+            row
+            for row in self.rows
+            if all(row.dims.get(k) == v for k, v in dims.items())
+        ]
+        return ExperimentTable(self.experiment_id, self.title, matching)
+
+    def value(self, y: str, **dims: t.Any) -> float:
+        """The single y value matching the dims (raises if ambiguous)."""
+        matching = self.filter(**dims).rows
+        if len(matching) != 1:
+            raise ValueError(
+                f"expected exactly one row for {dims!r}, "
+                f"found {len(matching)}"
+            )
+        return getattr(matching[0], y)
+
+    def dimension_values(self, name: str) -> list[t.Any]:
+        seen: dict[t.Any, None] = {}
+        for row in self.rows:
+            seen.setdefault(row.dims.get(name), None)
+        return list(seen)
+
+
+def point_table(
+    experiment_id: str, title: str, outcomes: t.Sequence[RunOutcome]
+) -> ExperimentTable:
+    """Point-run outcomes as table rows of whole-run metrics.
+
+    Rows keep the outcomes' order; a failed run becomes a
+    :class:`RunFailure` instead of a row.
+    """
+    rows: list[ExperimentRow] = []
+    failures: list[RunFailure] = []
+    for outcome in outcomes:
+        if not outcome.ok:
+            failures.append(_failure(outcome))
+            continue
+        result: "SimulationResult" = outcome.result
+        rows.append(
+            ExperimentRow(
+                dims=dict(outcome.dims),
+                hit_ratio=result.hit_ratio,
+                response_time=result.response_time,
+                error_rate=result.error_rate,
+                queries=result.summary.total_queries,
+                disconnected_error_rate=result.disconnected_error_rate,
+                uplink_bytes=float(result.summary.total_bytes_sent),
+                drops=result.messages_dropped,
+                retries=result.retries,
+                timeouts=result.timeouts,
+                degraded=result.degraded_queries,
+                event_counts=dict(result.event_counts),
+                elapsed_seconds=outcome.elapsed_seconds,
+            )
+        )
+    return ExperimentTable(experiment_id, title, rows, failures=failures)

@@ -6,8 +6,8 @@ swept dimensions (expanded as a cartesian product in declaration order),
 a default replication count and a warm-up fraction.  Scenarios are plain
 data — a dict (or a TOML table) validated into a frozen
 :class:`Scenario` — so the full experiment grid is inspectable without
-executing anything, and the paper's experiment drivers can delegate
-their run-list construction to the very same specs.
+executing anything, and both the replicated runs and the paper's
+single-run figure tables are built from the very same specs.
 
 Spec format (dict keys / TOML table entries)::
 
@@ -43,8 +43,7 @@ import dataclasses
 import typing as t
 
 from repro.errors import ScenarioError
-from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import RunSpec, default_horizon_hours
+from repro.experiments.config import SimulationConfig, default_horizon_hours
 
 #: Config field names a spec may override or sweep.
 _CONFIG_FIELDS = frozenset(
@@ -273,6 +272,12 @@ class Scenario:
             )
         return cells
 
+    def resolve_horizon(self, horizon_hours: "float | None") -> float:
+        """The caller's horizon, else the spec's, else the default."""
+        if horizon_hours is not None:
+            return horizon_hours
+        return self.horizon_hours or default_horizon_hours()
+
     def build_config(
         self,
         cell: Cell,
@@ -297,34 +302,6 @@ class Scenario:
         return SimulationConfig(
             horizon_hours=horizon_hours, seed=seed, **values
         )
-
-    def build_runs(
-        self,
-        horizon_hours: "float | None" = None,
-        seed: int = 42,
-        extra_base: "t.Mapping[str, t.Any] | None" = None,
-    ) -> list[RunSpec]:
-        """The classic driver run list: one (dims, config) per cell.
-
-        This is what keeps the single-replication experiment drivers
-        thin wrappers: their golden-pinned run lists come out of the
-        scenario spec, bit-identical to the hand-rolled loops they
-        replace.
-        """
-        horizon = (
-            horizon_hours
-            if horizon_hours is not None
-            else (self.horizon_hours or default_horizon_hours())
-        )
-        return [
-            (
-                cell.dims_dict(),
-                self.build_config(
-                    cell, horizon, seed, extra_base=extra_base
-                ),
-            )
-            for cell in self.cells()
-        ]
 
 
 def load_toml(path: str) -> dict[str, Scenario]:

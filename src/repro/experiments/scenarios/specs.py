@@ -1,12 +1,12 @@
 """The paper's experiments as declarative scenario specs.
 
-Each spec reproduces — bit for bit — the run list one of the classic
-experiment drivers builds by hand: the sweep entries mirror the
-drivers' loop nesting (outermost first), ``dims_order`` mirrors their
-reported-dimension dict order, and the bases carry the fixed workload
-settings.  The drivers in :mod:`repro.experiments` now delegate here,
-so the golden-pinned single-replication tables and the replicated
-scenario runs share one source of truth.
+Each spec is one sweep of the paper's Table 1: the sweep entries give
+the loop nesting (outermost first), ``dims_order`` the reported
+dimension order, and the bases carry the fixed workload settings.  The
+figure tables (:mod:`repro.experiments.tables`) run these specs once
+per cell at the caller's seed; ``scenario run`` replicates them with
+confidence intervals.  Their run plans are pinned by digest, so a spec
+edit that changes a run shows up in the tests.
 
 Replication defaults follow the experiments' statistical character:
 the single-client read-only sweep (#2) is cheap and noisy-free, the

@@ -1,24 +1,28 @@
-"""Unit tests for the experiment framework, drivers and reports."""
+"""Unit tests for the figure tables, their point runs and reports."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    exp1_granularity,
-    exp2_replacement_ro,
-    exp3_replacement_rw,
-    exp4_adaptivity,
-    exp5_coherence,
-    exp6_disconnect,
-    report,
-)
-from repro.experiments.framework import (
-    ExperimentRow,
-    ExperimentTable,
+from repro.experiments import report
+from repro.experiments.config import (
     FAST_HORIZON_HOURS,
     FULL_HORIZON_HOURS,
     default_horizon_hours,
 )
-from repro.experiments.tables import render_table1, table1_rows
+from repro.experiments.scenarios import (
+    ExperimentRow,
+    ExperimentTable,
+    get_scenario,
+    point_descriptors,
+)
+from repro.experiments.tables import (
+    paper_figure,
+    render_table1,
+    table1_rows,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def make_table():
@@ -30,16 +34,15 @@ def make_table():
     return ExperimentTable("t", "test table", rows)
 
 
+def scenario_runs(name, horizon_hours):
+    return point_descriptors([get_scenario(name)], horizon_hours)
+
+
 class TestExperimentTable:
     def test_filter(self):
         table = make_table()
         assert len(table.filter(q="AQ").rows) == 2
         assert len(table.filter(g="AC", q="NQ").rows) == 1
-
-    def test_series(self):
-        table = make_table()
-        points = table.series("g", "hit_ratio", q="AQ")
-        assert points == [("AC", 0.5), ("OC", 0.6)]
 
     def test_value_unique(self):
         table = make_table()
@@ -62,57 +65,65 @@ class TestDefaultHorizon:
 
 
 class TestRunSpecs:
-    """The drivers must enumerate exactly the paper's sweeps."""
+    """The figure tables must enumerate exactly the paper's sweeps."""
 
     def test_exp1_covers_full_grid(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
+        runs = paper_figure(2).descriptors(horizon_hours=1.0)
         assert len(runs) == 4 * 2 * 2 * 2
-        labels = {tuple(sorted(d.items())) for d, __ in runs}
+        labels = {tuple(sorted(run.dims.items())) for run in runs}
         assert len(labels) == len(runs)
 
     def test_exp2_policies_and_single_client(self):
-        runs = exp2_replacement_ro.build_runs(horizon_hours=1.0)
+        runs = paper_figure(3).descriptors(horizon_hours=1.0)
         assert len(runs) == 6 * 2 * 2 * 2
-        for __, config in runs:
-            assert config.num_clients == 1
-            assert config.update_probability == 0.0
-            assert config.granularity == "HC"
+        for run in runs:
+            assert run.config.num_clients == 1
+            assert run.config.update_probability == 0.0
+            assert run.config.granularity == "HC"
 
     def test_exp3_is_exp2_with_writes(self):
-        runs = exp3_replacement_rw.build_runs(horizon_hours=1.0)
-        for __, config in runs:
-            assert config.num_clients == 10
-            assert config.update_probability == 0.1
+        runs = paper_figure(4).descriptors(horizon_hours=1.0)
+        read_only = paper_figure(3).descriptors(horizon_hours=1.0)
+        assert [run.dims for run in runs] == [run.dims for run in read_only]
+        for run in runs:
+            assert run.config.num_clients == 10
+            assert run.config.update_probability == 0.1
 
     def test_exp4_change_rates(self):
-        runs = exp4_adaptivity.build_change_rate_runs(horizon_hours=1.0)
+        runs = paper_figure(5).descriptors(horizon_hours=1.0)
         assert len(runs) == 4 * 3
-        rates = {config.csh_change_every for __, config in runs}
+        rates = {run.config.csh_change_every for run in runs}
         assert rates == {300, 500, 700}
 
     def test_exp4_cyclic(self):
-        runs = exp4_adaptivity.build_cyclic_runs(horizon_hours=1.0)
+        runs = paper_figure(6).descriptors(horizon_hours=1.0)
         assert len(runs) == 4
-        assert all(config.heat == "cyclic" for __, config in runs)
+        assert all(run.config.heat == "cyclic" for run in runs)
 
     def test_exp5_grid(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0)
+        runs = paper_figure(7).descriptors(horizon_hours=1.0)
         assert len(runs) == 3 * 3 * 3
-        betas = {config.beta for __, config in runs}
+        betas = {run.config.beta for run in runs}
         assert betas == {-1.0, 0.0, 1.0}
 
     def test_exp6_durations_scaled_to_short_horizon(self):
-        runs = exp6_disconnect.build_duration_runs(horizon_hours=8.0)
-        for dims, config in runs:
-            assert config.disconnection_hours <= 8.0
-            assert config.disconnected_clients == 5
+        for run in scenario_runs("exp6-durations", 8.0):
+            assert run.config.disconnection_hours <= 8.0
+            assert run.config.disconnected_clients == 5
             # Labels keep the paper's D values.
-            assert dims["duration_hours"] in (1.0, 4.0, 7.0, 10.0)
+            assert run.dims["duration_hours"] in (1.0, 4.0, 7.0, 10.0)
 
     def test_exp6_client_count_sweep(self):
-        runs = exp6_disconnect.build_client_count_runs(horizon_hours=8.0)
-        counts = {config.disconnected_clients for __, config in runs}
+        runs = scenario_runs("exp6-client-counts", 8.0)
+        counts = {run.config.disconnected_clients for run in runs}
         assert counts == {1, 3, 5, 7, 9}
+        # Figure 8 runs both sweeps as one table, durations first.
+        figure = paper_figure(8).descriptors(horizon_hours=8.0)
+        durations = scenario_runs("exp6-durations", 8.0)
+        assert [run.config for run in figure] == [
+            run.config for run in durations + runs
+        ]
+        assert [run.index for run in figure] == list(range(len(figure)))
 
 
 class TestReports:
@@ -121,20 +132,6 @@ class TestReports:
         assert "test table" in text
         assert "AC" in text
         assert "50.00%" in text
-
-    def test_render_matrix(self):
-        text = report.render_matrix(
-            make_table(), "g", "q", "hit_ratio"
-        )
-        assert "AC" in text and "OC" in text
-        assert "-" in text  # OC/NQ cell is missing
-
-    def test_summarize_best(self):
-        best = report.summarize_best(make_table(), "q", "hit_ratio")
-        assert dict((k, row.dims["g"]) for k, row in best) == {
-            "AQ": "OC",
-            "NQ": "AC",
-        }
 
 
 class TestTable1:
@@ -148,3 +145,8 @@ class TestTable1:
         assert "ewma-0.5" in text
         assert "NC, AC, OC, HC" in text
         assert "0.1, 0.3, 0.5" in text
+
+    def test_matches_committed_reproduction(self):
+        """Table 1 heads the committed reproduction text, byte for byte."""
+        committed = (REPO_ROOT / "results" / "reproduction.txt").read_text()
+        assert committed.startswith(render_table1() + "\n\n")

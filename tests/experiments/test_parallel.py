@@ -1,32 +1,53 @@
 """Parallel execution engine: golden equivalence and isolation tests.
 
 The pool's contract is that worker count and completion order are
-unobservable in the results: ``execute(..., jobs=N)`` must produce
-byte-identical rows to the serial path for every experiment driver.
-These tests lock that down on reduced-horizon exp1 and exp5 sweeps,
-plus the out-of-order-completion and worker-crash-isolation cases the
-contract implies.
+unobservable in the results: a figure's point runs at ``jobs=N`` must
+produce byte-identical rows to the serial path.  These tests lock that
+down on reduced-horizon Figure 2 and Figure 7 sweeps, plus the
+out-of-order-completion and worker-crash-isolation cases the contract
+implies, and the seeds the scenario layer hands the executor.
 """
 
+import collections
 import io
 import pickle
 
 import pytest
 
-from repro.experiments import exp1_granularity, exp5_coherence, exp7_faults
 from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import execute
 from repro.experiments.parallel import (
     JOBS_ENV_VAR,
     ParallelExecutor,
-    build_descriptors,
+    RunDescriptor,
     config_key,
     execute_descriptor,
     resolve_jobs,
 )
+from repro.experiments.scenarios import (
+    REPLICATION_DIM,
+    ReplicationPlan,
+    Scenario,
+    get_scenario,
+    point_table,
+)
+from repro.experiments.tables import paper_figure, select_experiments
 
 #: Small horizon keeping the grids affordable (exp1 is 32 runs, exp5 27).
 EQUIVALENCE_HORIZON_HOURS = 0.15
+
+
+def descriptors_of(runs):
+    """Hand-written ``(dims, config)`` runs as declaration-ordered
+    descriptors."""
+    return [
+        RunDescriptor(index=index, dims=dict(dims), config=config)
+        for index, (dims, config) in enumerate(runs)
+    ]
+
+
+def run_table(descriptors, jobs):
+    outcomes = ParallelExecutor(jobs=jobs).run("t", descriptors)
+    return point_table("t", "t", outcomes)
 
 
 def row_bytes(table):
@@ -61,29 +82,30 @@ class TestGoldenEquivalence:
     """jobs=4 and jobs=1 must agree bitwise on real experiment sweeps."""
 
     def test_exp1_parallel_matches_serial(self):
-        runs = exp1_granularity.build_runs(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS
-        )
-        serial = execute("exp1", "t", runs, jobs=1)
-        parallel = execute("exp1", "t", runs, jobs=4)
+        figure = paper_figure(2)
+        serial = figure.run(EQUIVALENCE_HORIZON_HOURS, jobs=1)
+        parallel = figure.run(EQUIVALENCE_HORIZON_HOURS, jobs=4)
         assert row_bytes(serial) == row_bytes(parallel)
         assert serial.rows == parallel.rows
         assert not serial.failures and not parallel.failures
 
     def test_exp5_parallel_matches_serial(self):
-        runs = exp5_coherence.build_runs(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS
-        )
-        serial = execute("exp5", "t", runs, jobs=1)
-        parallel = execute("exp5", "t", runs, jobs=4)
+        figure = paper_figure(7)
+        serial = figure.run(EQUIVALENCE_HORIZON_HOURS, jobs=1)
+        parallel = figure.run(EQUIVALENCE_HORIZON_HOURS, jobs=4)
         assert row_bytes(serial) == row_bytes(parallel)
         assert serial.rows == parallel.rows
         # The instrumentation spine must be as deterministic as the
         # metrics it feeds: identical per-type event totals regardless
         # of worker count.
-        merged = serial.merged_event_counts()
-        assert merged == parallel.merged_event_counts()
-        assert merged["QueryComplete"] == sum(
+        def merged(table):
+            totals = collections.Counter()
+            for row in table.rows:
+                totals.update(row.event_counts)
+            return totals
+
+        assert merged(serial) == merged(parallel)
+        assert merged(serial)["QueryComplete"] == sum(
             row.queries for row in serial.rows
         )
 
@@ -109,8 +131,8 @@ class TestGoldenEquivalence:
             for g in ("AC", "OC", "HC")
             for budget in (0, 2)
         ]
-        serial = execute("exp7", "t", runs, jobs=1)
-        parallel = execute("exp7", "t", runs, jobs=4)
+        serial = run_table(descriptors_of(runs), jobs=1)
+        parallel = run_table(descriptors_of(runs), jobs=4)
         assert row_bytes(serial) == row_bytes(parallel)
         assert serial.rows == parallel.rows
         assert not serial.failures and not parallel.failures
@@ -120,22 +142,20 @@ class TestGoldenEquivalence:
         assert sum(row.timeouts for row in serial.rows) > 0
 
     def test_exp7_driver_entrypoint_matches_serial(self):
-        serial = exp7_faults.run_bursts(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=1
-        )
-        parallel = exp7_faults.run_bursts(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=2
-        )
+        (experiment,) = select_experiments(["7"])
+        serial = experiment.run(EQUIVALENCE_HORIZON_HOURS, jobs=1)
+        parallel = experiment.run(EQUIVALENCE_HORIZON_HOURS, jobs=2)
         assert row_bytes(serial) == row_bytes(parallel)
         assert serial.rows == parallel.rows
+        # Both sub-sweeps land in the one table, losses first.
+        assert len(serial.rows) == 27 + 9
+        assert serial.rows[-1].dims["burst"] is True
 
-    def test_driver_entrypoint_accepts_jobs(self):
-        table = exp5_coherence.run(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=2
-        )
-        reference = exp5_coherence.run(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=1
-        )
+    def test_driver_entrypoint_accepts_jobs(self, monkeypatch):
+        """``jobs=None`` defers to REPRO_JOBS, invisibly in the rows."""
+        monkeypatch.setenv(JOBS_ENV_VAR, "2")
+        table = paper_figure(7).run(EQUIVALENCE_HORIZON_HOURS)
+        reference = paper_figure(7).run(EQUIVALENCE_HORIZON_HOURS, jobs=1)
         assert table.rows == reference.rows
 
 
@@ -151,7 +171,7 @@ class TestOutOfOrderCompletion:
         ]
         log = io.StringIO()
         executor = ParallelExecutor(jobs=2, progress=True, stream=log)
-        outcomes = executor.run("order", build_descriptors(runs))
+        outcomes = executor.run("order", descriptors_of(runs))
         assert [o.dims["which"] for o in outcomes] == ["slow", "fast"]
         assert [o.index for o in outcomes] == [0, 1]
         # The progress log records completion order: the fast run is
@@ -162,7 +182,7 @@ class TestOutOfOrderCompletion:
     def test_serial_path_used_for_single_run(self):
         runs = [({"which": "only"}, SimulationConfig(horizon_hours=0.1))]
         executor = ParallelExecutor(jobs=8)
-        outcomes = executor.run("single", build_descriptors(runs))
+        outcomes = executor.run("single", descriptors_of(runs))
         assert len(outcomes) == 1 and outcomes[0].ok
 
 
@@ -184,7 +204,7 @@ class TestCrashIsolation:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_surfaces_without_killing_sweep(self, jobs):
-        table = execute("crash", "t", self.runs_with_crash(), jobs=jobs)
+        table = run_table(descriptors_of(self.runs_with_crash()), jobs)
         assert [row.dims["slot"] for row in table.rows] == [0, 2]
         assert len(table.failures) == 1
         failure = table.failures[0]
@@ -193,8 +213,8 @@ class TestCrashIsolation:
         assert "ReplacementError" in failure.traceback
 
     def test_serial_and_parallel_agree_on_failures(self):
-        serial = execute("crash", "t", self.runs_with_crash(), jobs=1)
-        parallel = execute("crash", "t", self.runs_with_crash(), jobs=2)
+        serial = run_table(descriptors_of(self.runs_with_crash()), 1)
+        parallel = run_table(descriptors_of(self.runs_with_crash()), 2)
         assert serial.rows == parallel.rows
         assert [f.index for f in serial.failures] == [
             f.index for f in parallel.failures
@@ -232,49 +252,72 @@ class TestJobsResolution:
 
 class TestRunDescriptors:
     def test_descriptor_is_picklable(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
-        descriptors = build_descriptors(runs)
+        descriptors = paper_figure(2).descriptors(horizon_hours=1.0)
         clone = pickle.loads(pickle.dumps(descriptors[5]))
         assert clone == descriptors[5]
         assert clone.config == descriptors[5].config
 
     def test_indices_follow_declaration_order(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
-        descriptors = build_descriptors(runs)
-        assert [d.index for d in descriptors] == list(range(len(runs)))
+        descriptors = paper_figure(2).descriptors(horizon_hours=1.0)
+        assert [d.index for d in descriptors] == list(range(32))
 
     def test_execute_descriptor_records_timing(self):
-        descriptor = build_descriptors(
+        (descriptor,) = descriptors_of(
             [({"k": 1}, SimulationConfig(horizon_hours=0.1))]
-        )[0]
+        )
         outcome = execute_descriptor(descriptor)
         assert outcome.ok
         assert outcome.elapsed_seconds > 0.0
 
 
 class TestSeedDecorrelation:
-    """Content-keyed seed spawning: opt-in, order-invariant."""
+    """Point runs share the caller's seed (common random numbers);
+    replications decorrelate by replication index, never by position."""
 
     def test_default_preserves_config_seeds(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        descriptors = build_descriptors(runs)
+        descriptors = paper_figure(7).descriptors(1.0, seed=42)
         assert all(d.config.seed == 42 for d in descriptors)
 
     def test_decorrelated_runs_get_distinct_seeds(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        descriptors = build_descriptors(runs, decorrelate_seeds=True)
-        seeds = {d.config.seed for d in descriptors}
-        assert len(seeds) == len(descriptors)
+        plan = ReplicationPlan(
+            get_scenario("exp5-coherence"), replications=3,
+            horizon_hours=1.0, seed=42,
+        )
+        seeds = collections.defaultdict(set)
+        for d in plan.descriptors():
+            seeds[d.dims[REPLICATION_DIM]].add(d.config.seed)
+        # One seed per replication, shared by all of its cells.
+        assert all(len(shared) == 1 for shared in seeds.values())
+        assert len(set.union(*seeds.values())) == 3
 
     def test_reordering_never_changes_a_configs_seed(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        forward = build_descriptors(runs, decorrelate_seeds=True)
-        backward = build_descriptors(
-            list(reversed(runs)), decorrelate_seeds=True
-        )
-        by_key_fwd = {config_key(d.config): d.config.seed for d in forward}
-        by_key_bwd = {config_key(d.config): d.config.seed for d in backward}
-        assert by_key_fwd == by_key_bwd
+        spec = {
+            "base": {"num_clients": 2},
+            "sweep": [
+                {"name": "granularity", "values": ["AC", "OC", "HC"]},
+                {"name": "beta", "values": [-1.0, 0.0, 1.0]},
+            ],
+            "replications": 2,
+        }
+        reversed_spec = {
+            **spec,
+            "sweep": [
+                {**d, "values": list(reversed(d["values"]))}
+                for d in reversed(spec["sweep"])
+            ],
+        }
+
+        def seeds(raw):
+            plan = ReplicationPlan(
+                Scenario.from_dict("order", raw), horizon_hours=1.0
+            )
+            return {
+                (config_key(d.config), d.dims[REPLICATION_DIM]):
+                    d.config.seed
+                for d in plan.descriptors()
+            }
+
+        assert seeds(spec) == seeds(reversed_spec)
 
     def test_config_key_ignores_seed(self):
         a = SimulationConfig(horizon_hours=1.0, seed=1)
@@ -284,13 +327,21 @@ class TestSeedDecorrelation:
         assert config_key(a) != config_key(c)
 
     def test_decorrelated_parallel_matches_serial(self):
-        runs = [
-            ({"g": g}, SimulationConfig(granularity=g, horizon_hours=0.15))
-            for g in ("AC", "OC", "HC")
-        ]
-        serial = execute("dec", "t", runs, jobs=1, decorrelate_seeds=True)
-        parallel = execute("dec", "t", runs, jobs=2, decorrelate_seeds=True)
+        scenario = Scenario.from_dict("dec", {
+            "sweep": [{"name": "granularity", "values": ["AC", "OC", "HC"]}],
+            "replications": 2,
+        })
+        plan = ReplicationPlan(scenario, horizon_hours=0.15)
+        serial = run_table(plan.descriptors(), jobs=1)
+        parallel = run_table(plan.descriptors(), jobs=2)
         assert serial.rows == parallel.rows
-        # And decorrelation really changed the draws vs the CRN default.
-        crn = execute("dec", "t", runs, jobs=1)
-        assert row_bytes(crn) != row_bytes(serial)
+        # And decorrelation really changed the draws between the
+        # replications of a cell.
+        first, second = (
+            serial.filter(**{REPLICATION_DIM: rep}) for rep in (0, 1)
+        )
+        for a, b in zip(first.rows, second.rows, strict=True):
+            assert a.dims["granularity"] == b.dims["granularity"]
+            assert (a.hit_ratio, a.response_time) != (
+                b.hit_ratio, b.response_time
+            )

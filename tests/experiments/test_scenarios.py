@@ -22,6 +22,7 @@ from repro.experiments.scenarios import (
     collect_outcomes,
     get_scenario,
     load_toml,
+    point_descriptors,
     run_scenario,
     scenario_names,
 )
@@ -155,12 +156,11 @@ class TestExpansion:
         key = scenario.cells()[0].key()
         assert "granularity='OC'" in key
 
-    def test_build_runs_full_configs(self):
-        runs = tiny_scenario().build_runs(1.0, seed=7)
+    def test_point_descriptors_full_configs(self):
+        runs = point_descriptors([tiny_scenario()], 1.0, seed=7)
         assert len(runs) == 2
-        dims, config = runs[0]
-        assert dims == {"granularity": "OC"}
-        assert config == SimulationConfig(
+        assert runs[0].dims == {"granularity": "OC"}
+        assert runs[0].config == SimulationConfig(
             granularity="OC",
             num_clients=2,
             update_probability=0.1,
@@ -170,19 +170,18 @@ class TestExpansion:
 
     def test_scaled_fields_cap_at_horizon_fraction(self):
         scenario = get_scenario("exp6-durations")
-        runs = scenario.build_runs(2.0, seed=42)
-        for dims, config in runs:
-            assert config.disconnection_hours == min(
-                dims["duration_hours"], 0.8 * 2.0
+        for run in point_descriptors([scenario], 2.0, seed=42):
+            assert run.config.disconnection_hours == min(
+                run.dims["duration_hours"], 0.8 * 2.0
             )
             # The reported label keeps the paper's nominal duration.
-            assert dims["duration_hours"] in (1.0, 4.0, 7.0, 10.0)
+            assert run.dims["duration_hours"] in (1.0, 4.0, 7.0, 10.0)
 
     def test_registered_scenarios_expand_to_valid_configs(self):
         for name in scenario_names():
-            for dims, config in get_scenario(name).build_runs(1.0):
-                config.validate()
-                assert dims
+            for run in point_descriptors([get_scenario(name)], 1.0):
+                run.config.validate()
+                assert run.dims
 
 
 class TestTomlRoundTrip:
@@ -211,9 +210,9 @@ values = ["OC", "HC"]
         assert loaded.replications == 3
         assert loaded.warmup_fraction == 0.25
         # The TOML spec and the equivalent dict spec agree exactly.
-        runs_toml = loaded.build_runs(1.0, seed=5)
-        runs_dict = tiny_scenario().build_runs(1.0, seed=5)
-        assert [c for __, c in runs_toml] == [c for __, c in runs_dict]
+        runs_toml = point_descriptors([loaded], 1.0, seed=5)
+        runs_dict = point_descriptors([tiny_scenario()], 1.0, seed=5)
+        assert runs_toml == runs_dict
 
     def test_invalid_toml_raises_scenario_error(self, tmp_path):
         path = tmp_path / "broken.toml"

@@ -10,9 +10,9 @@ The two acceptance properties of the refactor:
 
 import pytest
 
-from repro.experiments import exp5_coherence
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
+from repro.experiments.tables import paper_figure
 from repro.metrics.collectors import MetricsSink
 from repro.obs.sinks import summarize_trace
 
@@ -73,9 +73,7 @@ class TestTraceRoundTrip:
     ):
         # One representative run of the coherence experiment (updates
         # present, so refresh/staleness machinery is exercised).
-        __, config = exp5_coherence.build_runs(
-            horizon_hours=HORIZON_HOURS
-        )[0]
+        config = paper_figure(7).descriptors(HORIZON_HOURS)[0].config
         path = str(tmp_path / "exp5.jsonl")
         result = run_simulation(config.replaced(trace_path=path))
         summary = summarize_trace(path)
