@@ -5,7 +5,9 @@ Runs short simulations over the AC/OC/HC granularities — each with
 faults off (experiment-1 conditions) and with loss + retry recovery on
 (experiment-7 conditions) — with the in-process invariant checkers
 attached *and* a JSONL trace exported, then replays every trace through
-``check_trace``.  Both passes must report zero violations: the
+``check_trace``.  Both passes must report zero violations over the
+same number of checked events (the live pass checks each query's
+accesses as one batch, the replay pass one access at a time): the
 in-process pass additionally reconciles event-derived totals against
 the live metrics/channel/cache objects, and the replay pass proves the
 persisted trace alone carries enough evidence to verify the protocol.
@@ -68,7 +70,8 @@ def main(argv: "list[str] | None" = None) -> int:
             live = result.invariants
             assert live is not None
             replay = check_trace(str(trace_path))
-            ok = live.ok and replay.ok
+            same_count = live.events_checked == replay.events_checked
+            ok = live.ok and replay.ok and same_count
             status = "ok" if ok else "FAIL"
             print(
                 f"[{status}] {label:<12} live: {live.summary()} | "
@@ -76,6 +79,12 @@ def main(argv: "list[str] | None" = None) -> int:
             )
             if not ok:
                 failures += 1
+                if not same_count:
+                    print(
+                        f"    events checked differ: live "
+                        f"{live.events_checked} != replay "
+                        f"{replay.events_checked}"
+                    )
                 for violation in (live.violations + replay.violations)[:20]:
                     print(f"    {violation.formatted()}")
                 print(f"    trace kept at {trace_path}")

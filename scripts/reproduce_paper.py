@@ -105,10 +105,13 @@ def main() -> int:
     args = parser.parse_args()
     jobs = resolve_jobs(os.cpu_count() if args.jobs is None else args.jobs)
 
-    experiments = (
-        select_experiments(args.only) if args.only
-        else list(PAPER_EXPERIMENTS)
-    )
+    try:
+        experiments = (
+            select_experiments(args.only) if args.only
+            else list(PAPER_EXPERIMENTS)
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,10 +20,11 @@ stream:
 from __future__ import annotations
 
 import dataclasses
+import typing as t
 
-from repro.analysis.invariants.engine import InvariantChecker
+from repro.analysis.invariants.engine import Handler, InvariantChecker
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.events import (
-    CacheAccess,
     LateReply,
     QueryComplete,
     RemoteRound,
@@ -31,7 +32,6 @@ from repro.obs.events import (
     ReplyTimeout,
     RequestSent,
     RequestServed,
-    SimEvent,
 )
 
 
@@ -50,16 +50,6 @@ class CausalityChecker(InvariantChecker):
 
     checker_id = "CAU"
     title = "request/reply causality and retry numbering per client"
-    event_types = (
-        CacheAccess,
-        RemoteRound,
-        RequestSent,
-        ReplyTimeout,
-        LateReply,
-        ReplyReceived,
-        RequestServed,
-        QueryComplete,
-    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -72,30 +62,30 @@ class CausalityChecker(InvariantChecker):
             self._clients[client_id] = state
         return state
 
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            CacheAccessBatch: self.on_access_batch,
+            RemoteRound: self._on_round,
+            RequestSent: self._on_request,
+            ReplyTimeout: self._on_timeout,
+            ReplyReceived: self._on_reply_side,
+            LateReply: self._on_reply_side,
+            RequestServed: self._on_reply_side,
+            QueryComplete: self._on_complete,
+        }
+
     # ------------------------------------------------------------------
-    def on_event(self, event: SimEvent) -> None:
-        if isinstance(event, CacheAccess):
-            self._state(event.client_id).accesses_since_complete += 1
-        elif isinstance(event, RemoteRound):
-            self._on_round(event)
-        elif isinstance(event, RequestSent):
-            self._on_request(event)
-        elif isinstance(event, ReplyTimeout):
-            self._check_attempt(event, event.attempt, "ReplyTimeout")
-        elif isinstance(event, (ReplyReceived, LateReply, RequestServed)):
-            self._on_reply_side(event)
-        elif isinstance(event, QueryComplete):
-            self._on_complete(event)
+    def on_access_batch(self, batch: CacheAccessBatch) -> None:
+        self._state(batch.client_id).accesses_since_complete += len(batch)
 
     def _on_round(self, event: RemoteRound) -> None:
         state = self._state(event.client_id)
-        scope = f"client-{event.client_id}/query-{event.query_id}"
         if event.query_id != state.round_query:
             if event.attempt != 0:
                 self.violation(
                     "CAU003",
                     event.time,
-                    scope,
+                    f"client-{event.client_id}/query-{event.query_id}",
                     f"first RemoteRound of a query has attempt="
                     f"{event.attempt}; rounds must open at attempt 0",
                 )
@@ -104,7 +94,7 @@ class CausalityChecker(InvariantChecker):
             self.violation(
                 "CAU003",
                 event.time,
-                scope,
+                f"client-{event.client_id}/query-{event.query_id}",
                 f"RemoteRound attempt jumped from "
                 f"{state.round_attempt} to {event.attempt}; retries "
                 "must increment by exactly one",
@@ -114,36 +104,36 @@ class CausalityChecker(InvariantChecker):
     def _on_request(self, event: RequestSent) -> None:
         state = self._state(event.client_id)
         state.requested.add(event.query_id)
-        self._check_attempt(event, event.attempt, "RequestSent")
+        self._check_attempt(event, "RequestSent")
+
+    def _on_timeout(self, event: ReplyTimeout) -> None:
+        self._check_attempt(event, "ReplyTimeout")
 
     def _check_attempt(
-        self, event: SimEvent, attempt: int, kind: str
+        self, event: RequestSent | ReplyTimeout, kind: str
     ) -> None:
-        client_id = event.client_id  # type: ignore[attr-defined]
-        query_id = event.query_id  # type: ignore[attr-defined]
-        state = self._state(client_id)
+        state = self._state(event.client_id)
         if (
-            query_id != state.round_query
-            or attempt != state.round_attempt
+            event.query_id != state.round_query
+            or event.attempt != state.round_attempt
         ):
             self.violation(
                 "CAU003",
                 event.time,
-                f"client-{client_id}/query-{query_id}",
-                f"{kind} carries attempt {attempt} but the open round "
-                f"is query {state.round_query} attempt "
+                f"client-{event.client_id}/query-{event.query_id}",
+                f"{kind} carries attempt {event.attempt} but the open "
+                f"round is query {state.round_query} attempt "
                 f"{state.round_attempt}",
             )
 
-    def _on_reply_side(self, event: SimEvent) -> None:
-        client_id = event.client_id  # type: ignore[attr-defined]
-        query_id = event.query_id  # type: ignore[attr-defined]
-        state = self._state(client_id)
-        if query_id not in state.requested:
+    def _on_reply_side(
+        self, event: ReplyReceived | LateReply | RequestServed
+    ) -> None:
+        if event.query_id not in self._state(event.client_id).requested:
             self.violation(
                 "CAU001",
                 event.time,
-                f"client-{client_id}/query-{query_id}",
+                f"client-{event.client_id}/query-{event.query_id}",
                 f"{type(event).__name__} for a query no RequestSent "
                 "ever opened",
             )

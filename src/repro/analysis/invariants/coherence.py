@@ -26,15 +26,18 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.analysis.invariants.engine import InvariantChecker, RunContext
+from repro.analysis.invariants.engine import (
+    Handler,
+    InvariantChecker,
+    RunContext,
+)
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.events import (
-    CacheAccess,
     CacheAdmit,
     CacheEvict,
     CacheInvalidate,
     CacheRefresh,
     RefreshExpired,
-    SimEvent,
 )
 
 
@@ -63,14 +66,6 @@ class CoherenceChecker(InvariantChecker):
 
     checker_id = "COH"
     title = "refresh-time coherence contract per cached key"
-    event_types = (
-        CacheAccess,
-        CacheAdmit,
-        CacheRefresh,
-        CacheEvict,
-        CacheInvalidate,
-        RefreshExpired,
-    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -85,65 +80,86 @@ class CoherenceChecker(InvariantChecker):
             self._clients[client_id] = counts
         return counts
 
-    # ------------------------------------------------------------------
-    def on_event(self, event: SimEvent) -> None:
-        if isinstance(event, CacheAccess):
-            self._on_access(event)
-        elif isinstance(event, (CacheAdmit, CacheRefresh)):
-            self._keys[(event.client_id, event.key)] = _KeyState(
-                expires_at=event.expires_at
-            )
-        elif isinstance(event, (CacheEvict, CacheInvalidate)):
-            self._keys.pop((event.client_id, event.key), None)
-        elif isinstance(event, RefreshExpired):
-            self._on_expired(event)
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            CacheAccessBatch: self.on_access_batch,
+            CacheAdmit: self._on_deadline,
+            CacheRefresh: self._on_deadline,
+            CacheEvict: self._on_removed,
+            CacheInvalidate: self._on_removed,
+            RefreshExpired: self._on_expired,
+        }
 
-    def _on_access(self, event: CacheAccess) -> None:
-        counts = self._counts(event.client_id)
-        counts.accesses += 1
-        if event.hit:
-            counts.hits += 1
-        if event.answered:
-            counts.answered += 1
-            if event.error:
-                counts.errors += 1
-        else:
-            counts.unanswered += 1
-        if event.stale_served:
-            counts.stale_served += 1
-        scope = f"client-{event.client_id}/{event.key}"
-        if event.hit and event.stale_served:
-            self.violation(
-                "COH002",
-                event.time,
-                scope,
-                "access flagged both hit and stale_served; a hit is by "
-                "definition a fresh (unexpired) read",
-            )
-        if not event.hit:
-            return
-        state = self._keys.get((event.client_id, event.key))
-        if state is None:
-            # Hit on a key with no observed admit: an incomplete stream
-            # (trace started mid-run), not a protocol violation.
-            return
-        if event.time > state.expires_at:
-            self.violation(
-                "COH001",
-                event.time,
-                scope,
-                f"cache hit {event.time - state.expires_at:g}s after "
-                f"the refresh deadline ({state.expires_at:g}) with no "
-                "intervening refresh round",
-            )
-        elif state.expiry_observed:
-            self.violation(
-                "COH003",
-                event.time,
-                scope,
-                "cache hit after RefreshExpired was observed for this "
-                "key and before any refresh round",
-            )
+    # ------------------------------------------------------------------
+    def _on_deadline(self, event: CacheAdmit | CacheRefresh) -> None:
+        self._keys[(event.client_id, event.key)] = _KeyState(
+            expires_at=event.expires_at
+        )
+
+    def _on_removed(self, event: CacheEvict | CacheInvalidate) -> None:
+        self._keys.pop((event.client_id, event.key), None)
+
+    def on_access_batch(self, batch: CacheAccessBatch) -> None:
+        """Tally the batch; look up deadline state for hits only.
+
+        The deadline state is keyed by :class:`CacheAdmit`'s key, so
+        only hits pay for ``batch.decode``.
+        """
+        client_id = batch.client_id
+        now = batch.time
+        keys = self._keys
+        hits = answered = errors = stale = 0
+        for key, hit, error, was_answered, _connected, stale_served, _age in (
+            batch.records
+        ):
+            if was_answered:
+                answered += 1
+                if error:
+                    errors += 1
+            if stale_served:
+                stale += 1
+            if not hit:
+                continue
+            hits += 1
+            decoded = batch.decode(key)
+            if stale_served:
+                self.violation(
+                    "COH002",
+                    now,
+                    f"client-{client_id}/{decoded}",
+                    "access flagged both hit and stale_served; a hit is "
+                    "by definition a fresh (unexpired) read",
+                )
+            state = keys.get((client_id, decoded))
+            if state is None:
+                # Hit on a key with no observed admit: an incomplete
+                # stream (trace started mid-run), not a violation.
+                continue
+            if now > state.expires_at:
+                self.violation(
+                    "COH001",
+                    now,
+                    f"client-{client_id}/{decoded}",
+                    f"cache hit {now - state.expires_at:g}s after "
+                    f"the refresh deadline ({state.expires_at:g}) with no "
+                    "intervening refresh round",
+                )
+            elif state.expiry_observed:
+                self.violation(
+                    "COH003",
+                    now,
+                    f"client-{client_id}/{decoded}",
+                    "cache hit after RefreshExpired was observed for this "
+                    "key and before any refresh round",
+                )
+        total = len(batch.records)
+        counts = self._counts(client_id)
+        counts.accesses += total
+        counts.hits += hits
+        counts.answered += answered
+        counts.errors += errors
+        counts.unanswered += total - answered
+        counts.stale_served += stale
 
     def _on_expired(self, event: RefreshExpired) -> None:
         state = self._keys.get((event.client_id, event.key))

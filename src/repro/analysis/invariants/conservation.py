@@ -31,8 +31,14 @@ is available.
 from __future__ import annotations
 
 import dataclasses
+import typing as t
 
-from repro.analysis.invariants.engine import InvariantChecker, RunContext
+from repro.analysis.invariants.engine import (
+    Handler,
+    InvariantChecker,
+    RunContext,
+)
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.events import (
     KIND_ABORT,
     KIND_BURST_ENTER,
@@ -41,7 +47,6 @@ from repro.obs.events import (
     OUTCOME_ABORTED,
     OUTCOME_DELIVERED,
     OUTCOME_DROPPED,
-    CacheAccess,
     CacheAdmit,
     CacheEvict,
     CacheInvalidate,
@@ -51,7 +56,6 @@ from repro.obs.events import (
     QueryDegraded,
     RefreshExpired,
     ResourceWait,
-    SimEvent,
     TransmitOutcome,
 )
 
@@ -81,7 +85,6 @@ class ChannelConservationChecker(InvariantChecker):
 
     checker_id = "CON-channel"
     title = "per-channel byte conservation and fault accounting"
-    event_types = (TransmitOutcome, FaultEvent)
 
     def __init__(self) -> None:
         super().__init__()
@@ -94,13 +97,13 @@ class ChannelConservationChecker(InvariantChecker):
             self._channels[name] = state
         return state
 
-    # ------------------------------------------------------------------
-    def on_event(self, event: SimEvent) -> None:
-        if isinstance(event, TransmitOutcome):
-            self._on_outcome(event)
-        elif isinstance(event, FaultEvent):
-            self._on_fault(event)
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            TransmitOutcome: self._on_outcome,
+            FaultEvent: self._on_fault,
+        }
 
+    # ------------------------------------------------------------------
     def _on_outcome(self, event: TransmitOutcome) -> None:
         state = self._channel(event.channel)
         scope = f"channel-{event.channel}"
@@ -269,7 +272,6 @@ class CacheConservationChecker(InvariantChecker):
 
     checker_id = "CON-cache"
     title = "cache occupancy ledger: admits - evicts = occupancy <= capacity"
-    event_types = (CacheAdmit, CacheEvict, CacheInvalidate, CacheReject)
 
     def __init__(self) -> None:
         super().__init__()
@@ -282,63 +284,72 @@ class CacheConservationChecker(InvariantChecker):
             self._caches[(client_id, cache)] = state
         return state
 
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            CacheReject: self._on_reject,
+            CacheAdmit: self._on_admit,
+            CacheEvict: self._on_removed,
+            CacheInvalidate: self._on_removed,
+        }
+
     # ------------------------------------------------------------------
-    def on_event(self, event: SimEvent) -> None:
-        state = self._cache(event.client_id, event.cache)  # type: ignore[attr-defined]
-        scope = f"client-{event.client_id}/{event.cache}"  # type: ignore[attr-defined]
-        if isinstance(event, CacheReject):
-            # A denied admission must not move the ledger, and denial
-            # only makes sense for a key that is not already resident
-            # (a resident key takes the refresh path instead).
-            state.rejections += 1
-            if event.key in state.resident:
-                self.violation(
-                    "CON003",
-                    event.time,
-                    scope,
-                    f"admission of resident key {event.key!r} was "
-                    "rejected: resident keys must refresh in place",
-                )
-            return
-        if isinstance(event, CacheAdmit):
-            state.admits += 1
-            state.occupancy += event.size_bytes
-            if event.key in state.resident:
-                self.violation(
-                    "CON003",
-                    event.time,
-                    scope,
-                    f"admit of already-resident key {event.key!r}: "
-                    "in-place refreshes must emit CacheRefresh",
-                )
-            state.resident.add(event.key)
-            if event.capacity_bytes > 0:
-                state.capacity = event.capacity_bytes
-            if (
-                state.capacity
-                and state.occupancy > state.capacity
-                and not state.over_capacity_reported
-            ):
-                state.over_capacity_reported = True
-                self.violation(
-                    "CON003",
-                    event.time,
-                    scope,
-                    f"occupancy {state.occupancy}B exceeds capacity "
-                    f"{state.capacity}B after admit",
-                )
-            return
-        if isinstance(event, CacheEvict):
+    def _on_reject(self, event: CacheReject) -> None:
+        # A denied admission must not move the ledger, and denial only
+        # makes sense for a key that is not already resident (a
+        # resident key takes the refresh path instead).
+        state = self._cache(event.client_id, event.cache)
+        state.rejections += 1
+        if event.key in state.resident:
+            self.violation(
+                "CON003",
+                event.time,
+                f"client-{event.client_id}/{event.cache}",
+                f"admission of resident key {event.key!r} was "
+                "rejected: resident keys must refresh in place",
+            )
+
+    def _on_admit(self, event: CacheAdmit) -> None:
+        state = self._cache(event.client_id, event.cache)
+        state.admits += 1
+        state.occupancy += event.size_bytes
+        if event.key in state.resident:
+            self.violation(
+                "CON003",
+                event.time,
+                f"client-{event.client_id}/{event.cache}",
+                f"admit of already-resident key {event.key!r}: "
+                "in-place refreshes must emit CacheRefresh",
+            )
+        state.resident.add(event.key)
+        if event.capacity_bytes > 0:
+            state.capacity = event.capacity_bytes
+        if (
+            state.capacity
+            and state.occupancy > state.capacity
+            and not state.over_capacity_reported
+        ):
+            state.over_capacity_reported = True
+            self.violation(
+                "CON003",
+                event.time,
+                f"client-{event.client_id}/{event.cache}",
+                f"occupancy {state.occupancy}B exceeds capacity "
+                f"{state.capacity}B after admit",
+            )
+
+    def _on_removed(self, event: CacheEvict | CacheInvalidate) -> None:
+        state = self._cache(event.client_id, event.cache)
+        if type(event) is CacheEvict:
             state.evicts += 1
         else:
             state.invalidations += 1
-        state.resident.discard(event.key)  # type: ignore[attr-defined]
-        state.occupancy -= event.size_bytes  # type: ignore[attr-defined]
+        state.resident.discard(event.key)
+        state.occupancy -= event.size_bytes
         if state.occupancy < 0:
             self.violation(
                 "CON003",
-                event.time,  # type: ignore[attr-defined]
-                scope,
+                event.time,
+                f"client-{event.client_id}/{event.cache}",
                 f"occupancy went negative ({state.occupancy}B): more "
                 "bytes removed than were ever admitted",
             )
@@ -389,7 +400,6 @@ class QueryConservationChecker(InvariantChecker):
 
     checker_id = "CON-query"
     title = "query ids complete once, in order; degraded queries complete"
-    event_types = (QueryComplete, QueryDegraded)
 
     def __init__(self) -> None:
         super().__init__()
@@ -397,50 +407,56 @@ class QueryConservationChecker(InvariantChecker):
         self._last_completed: dict[int, int] = {}
         self._pending_degraded: dict[int, int] = {}
 
-    def on_event(self, event: SimEvent) -> None:
-        assert isinstance(event, (QueryComplete, QueryDegraded))
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            QueryComplete: self._on_complete,
+            QueryDegraded: self._on_degraded,
+        }
+
+    def _on_degraded(self, event: QueryDegraded) -> None:
         client_id = event.client_id
         query_id = event.query_id
-        scope = f"client-{client_id}/query-{query_id}"
         last = self._last_completed.get(client_id, 0)
         pending = self._pending_degraded.get(client_id)
-        if isinstance(event, QueryDegraded):
-            if query_id <= last:
-                self.violation(
-                    "CON004",
-                    event.time,
-                    scope,
-                    f"QueryDegraded for query {query_id} which already "
-                    f"completed (last completed: {last})",
-                )
-            if pending is not None and pending != query_id:
-                self.violation(
-                    "CON004",
-                    event.time,
-                    scope,
-                    f"degraded query {pending} never completed before "
-                    f"query {query_id} degraded",
-                )
-            self._pending_degraded[client_id] = query_id
-            return
         if query_id <= last:
             self.violation(
                 "CON004",
                 event.time,
-                scope,
+                f"client-{client_id}/query-{query_id}",
+                f"QueryDegraded for query {query_id} which already "
+                f"completed (last completed: {last})",
+            )
+        if pending is not None and pending != query_id:
+            self.violation(
+                "CON004",
+                event.time,
+                f"client-{client_id}/query-{query_id}",
+                f"degraded query {pending} never completed before "
+                f"query {query_id} degraded",
+            )
+        self._pending_degraded[client_id] = query_id
+
+    def _on_complete(self, event: QueryComplete) -> None:
+        client_id = event.client_id
+        query_id = event.query_id
+        last = self._last_completed.get(client_id, 0)
+        if query_id <= last:
+            self.violation(
+                "CON004",
+                event.time,
+                f"client-{client_id}/query-{query_id}",
                 f"QueryComplete out of issue order: query {query_id} "
                 f"after query {last} already completed",
             )
-        if pending is not None:
-            if pending != query_id:
-                self.violation(
-                    "CON004",
-                    event.time,
-                    scope,
-                    f"degraded query {pending} never completed before "
-                    f"query {query_id} did",
-                )
-            self._pending_degraded.pop(client_id, None)
+        pending = self._pending_degraded.pop(client_id, None)
+        if pending is not None and pending != query_id:
+            self.violation(
+                "CON004",
+                event.time,
+                f"client-{client_id}/query-{query_id}",
+                f"degraded query {pending} never completed before "
+                f"query {query_id} did",
+            )
         self._last_completed[client_id] = max(last, query_id)
 
 
@@ -449,40 +465,62 @@ class StructuralChecker(InvariantChecker):
 
     checker_id = "CON-structural"
     title = "non-negative durations, ages and byte counts"
-    event_types = (
-        ResourceWait,
-        QueryComplete,
-        CacheAccess,
-        RefreshExpired,
-    )
 
-    def on_event(self, event: SimEvent) -> None:
-        bad: list[tuple[str, float]] = []
-        if isinstance(event, ResourceWait):
-            scope = f"resource-{event.resource}"
-            if event.wait_seconds < 0:
-                bad.append(("wait_seconds", event.wait_seconds))
-            if event.hold_seconds < 0:
-                bad.append(("hold_seconds", event.hold_seconds))
-        elif isinstance(event, QueryComplete):
-            scope = f"client-{event.client_id}/query-{event.query_id}"
-            if event.response_seconds < 0:
-                bad.append(("response_seconds", event.response_seconds))
-        elif isinstance(event, CacheAccess):
-            scope = f"client-{event.client_id}/{event.key}"
-            age = event.age_seconds
-            if age is not None and age < 0:
-                bad.append(("age_seconds", age))
-        else:
-            assert isinstance(event, RefreshExpired)
-            scope = f"client-{event.client_id}/{event.key}"
-            if event.age_seconds < 0:
-                bad.append(("age_seconds", event.age_seconds))
-        for field, value in bad:
-            self.violation(
-                "CON005",
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        return {
+            ResourceWait: self._on_wait,
+            QueryComplete: self._on_complete,
+            CacheAccessBatch: self.on_access_batch,
+            RefreshExpired: self._on_expired,
+        }
+
+    def _negative(
+        self, time: float, scope: str, field: str, value: float
+    ) -> None:
+        self.violation(
+            "CON005", time, scope, f"{field} is negative ({value:g})"
+        )
+
+    def _on_wait(self, event: ResourceWait) -> None:
+        if event.wait_seconds < 0:
+            self._negative(
                 event.time,
-                scope,
-                f"{type(event).__name__}.{field} is negative "
-                f"({value:g})",
+                f"resource-{event.resource}",
+                "ResourceWait.wait_seconds",
+                event.wait_seconds,
+            )
+        if event.hold_seconds < 0:
+            self._negative(
+                event.time,
+                f"resource-{event.resource}",
+                "ResourceWait.hold_seconds",
+                event.hold_seconds,
+            )
+
+    def _on_complete(self, event: QueryComplete) -> None:
+        if event.response_seconds < 0:
+            self._negative(
+                event.time,
+                f"client-{event.client_id}/query-{event.query_id}",
+                "QueryComplete.response_seconds",
+                event.response_seconds,
+            )
+
+    def on_access_batch(self, batch: CacheAccessBatch) -> None:
+        for key, __, __, __, __, __, age in batch.records:
+            if age is not None and age < 0:
+                self._negative(
+                    batch.time,
+                    f"client-{batch.client_id}/{batch.decode(key)}",
+                    "CacheAccess.age_seconds",
+                    age,
+                )
+
+    def _on_expired(self, event: RefreshExpired) -> None:
+        if event.age_seconds < 0:
+            self._negative(
+                event.time,
+                f"client-{event.client_id}/{event.key}",
+                "RefreshExpired.age_seconds",
+                event.age_seconds,
             )

@@ -1,10 +1,14 @@
 """The streaming invariant engine.
 
 A :class:`InvariantChecker` is a finite-state machine over the obs
-event stream: it subscribes to the event types it cares about, keys its
-state per object/client/channel internally, and reports
-:class:`Violation` objects through the engine.  The engine drives a set
-of checkers from either source of truth:
+event stream: its :meth:`~InvariantChecker.handlers` table maps each
+event type it cares about to the method folding it, it keys its state
+per object/client/channel internally, and it reports :class:`Violation`
+objects through the engine.  :class:`~repro.obs.events.CacheAccess`
+reaches checkers only as :class:`~repro.obs.batches.CacheAccessBatch`
+— the client's per-query batch on the bus, a one-record batch in trace
+replay — so there is one access-checking path for both sources.  The
+engine drives a set of checkers from either source of truth:
 
 * **in-process** — :meth:`InvariantEngine.attach` subscribes to the
   run's :class:`~repro.obs.bus.EventBus`, so ``repro run --invariants``
@@ -28,11 +32,15 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.bus import EventBus
-from repro.obs.events import ALL_EVENT_TYPES, SimEvent
+from repro.obs.events import ALL_EVENT_TYPES, CacheAccess, SimEvent
 
 #: Default cap on recorded violations (the count keeps rising past it).
 DEFAULT_MAX_VIOLATIONS = 100
+
+#: A checker's handler for one event type (or for access batches).
+Handler = t.Callable[[t.Any], None]
 
 #: Event class per type name, for trace decoding.
 EVENT_TYPES_BY_NAME: dict[str, type[SimEvent]] = {
@@ -88,7 +96,7 @@ class RunContext:
 
 
 class InvariantChecker:
-    """Base class: subclass, declare ``event_types``, handle events.
+    """Base class: subclass and map event types to handlers.
 
     ``checker_id`` is the checker's *family* id; individual violations
     may carry more specific ids (one family can enforce several laws).
@@ -98,8 +106,6 @@ class InvariantChecker:
     checker_id: str = ""
     #: One-line summary of what the checker proves.
     title: str = ""
-    #: The exact event types this checker wants to see.
-    event_types: tuple[type[SimEvent], ...] = ()
 
     def __init__(self) -> None:
         self._report: t.Callable[[Violation], None] = lambda v: None
@@ -113,7 +119,19 @@ class InvariantChecker:
     ) -> None:
         self._report(Violation(checker_id, time, scope, message))
 
-    def on_event(self, event: SimEvent) -> None:
+    def handlers(self) -> dict[type[t.Any], Handler]:
+        """Per event type, the bound method that folds it.
+
+        Accesses are keyed by :class:`CacheAccessBatch`, never by
+        :class:`CacheAccess`: the engine hands them over only as
+        batches (see :meth:`on_access_batch`).
+        """
+        return {}
+
+    def on_access_batch(self, batch: CacheAccessBatch) -> None:
+        """Fold one client's accesses at one instant, exactly as one
+        access at a time would; ``batch.decode`` gives a record's key
+        in the form the other cache events carry."""
         raise NotImplementedError
 
     def finalize(self) -> None:
@@ -193,14 +211,14 @@ class InvariantEngine:
         self.malformed_lines = 0
         self.unknown_records = 0
         self._finalized = False
-        self._dispatch: dict[
-            type[SimEvent], tuple[t.Callable[[t.Any], None], ...]
-        ] = {}
+        #: Event type (``CacheAccessBatch`` for accesses) -> the
+        #: checkers' handlers, in checker order.
+        self._dispatch: dict[type[t.Any], tuple[Handler, ...]] = {}
         for checker in self.checkers:
             checker.bind(self._record)
-            for event_type in checker.event_types:
+            for event_type, handler in checker.handlers().items():
                 existing = self._dispatch.get(event_type, ())
-                self._dispatch[event_type] = existing + (checker.on_event,)
+                self._dispatch[event_type] = existing + (handler,)
 
     def __repr__(self) -> str:
         return (
@@ -217,14 +235,29 @@ class InvariantEngine:
 
     # ------------------------------------------------------------------
     def attach(self, bus: EventBus) -> "InvariantEngine":
-        """Subscribe to every event type any checker wants."""
+        """Subscribe to every event type any checker wants; accesses
+        with a batch handler, so the bus never expands them for us."""
         for event_type in self._dispatch:
-            bus.subscribe(event_type, self.feed)
+            if event_type is CacheAccessBatch:
+                bus.subscribe(CacheAccess, self.feed, self.feed)
+            else:
+                bus.subscribe(event_type, self.feed)
         return self
 
-    def feed(self, event: SimEvent) -> None:
-        """Run one event through every checker that wants its type."""
-        self.events_checked += 1
+    def feed(self, event: SimEvent | CacheAccessBatch) -> None:
+        """Run one event, or one access batch, through every checker
+        that wants its type.
+
+        A batch counts as ``len(batch)`` events.  A lone
+        :class:`CacheAccess` (trace replay, a plain ``bus.emit``) is
+        checked as a one-record batch.
+        """
+        if type(event) is CacheAccess:
+            event = CacheAccessBatch.of(event)
+        if type(event) is CacheAccessBatch:
+            self.events_checked += len(event)
+        else:
+            self.events_checked += 1
         for handler in self._dispatch.get(type(event), ()):
             handler(event)
 

@@ -8,7 +8,7 @@ counters) can no longer prove anything.
 
 REP009: every event type declared in ``repro/obs/events.py`` must be
 both *emitted* (constructed somewhere in the domain) and *consumed*
-(referenced by a sink subscription, a checker's ``event_types``, an
+(referenced by a sink subscription, a checker's handler table, an
 ``isinstance`` dispatch...).  A never-emitted type is a phantom the
 taxonomy promises but no run delivers; a never-consumed type is dead
 weight every run pays to emit.  ``bus.wants(T)`` guards an *emit* site,

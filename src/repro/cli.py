@@ -514,22 +514,32 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    experiments = (
-        list(PAPER_EXPERIMENTS)
-        if args.number == "all"
-        else select_experiments([args.number])
-    )
-    if not experiments:
-        raise SystemExit(
-            f"unknown experiment {args.number!r}; use 1-7 or 'all'"
-        )
+    if args.number == "all":
+        experiments = list(PAPER_EXPERIMENTS)
+    else:
+        try:
+            experiments = select_experiments([args.number])
+        except ValueError:
+            raise SystemExit(
+                f"unknown experiment {args.number!r}; use 1-7 or 'all'"
+            ) from None
+    failed = 0
     for experiment in experiments:
         table = experiment.run(
             args.hours, args.seed, jobs=args.jobs, progress=not args.quiet
         )
         print(experiment.render(table))
         print()
-    return 0
+        # Reported whatever --quiet says: a failed run is otherwise
+        # only a missing row.
+        for failure in table.failures:
+            print(
+                f"[{experiment.key}] FAILED {failure.label}\n"
+                f"{failure.traceback}",
+                file=sys.stderr,
+            )
+        failed += len(table.failures)
+    return 1 if failed else 0
 
 
 def main(argv: t.Sequence[str] | None = None) -> int:

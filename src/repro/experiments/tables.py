@@ -151,8 +151,23 @@ def paper_figure(figure: int) -> PaperExperiment:
 
 
 def select_experiments(tokens: t.Iterable[str]) -> list[PaperExperiment]:
-    """Entries named by record key or experiment number, table order."""
-    wanted = set(tokens)
+    """Entries named by record key or experiment number, table order.
+
+    Raises :class:`ValueError` naming every token that names no entry,
+    so a typo cannot silently shrink a sweep.
+    """
+    wanted = list(tokens)
+    keys = [experiment.key for experiment in PAPER_EXPERIMENTS]
+    numbers = {experiment.number for experiment in PAPER_EXPERIMENTS}
+    unknown = [
+        token for token in wanted if token not in numbers and token not in keys
+    ]
+    if unknown:
+        raise ValueError(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; use a "
+            f"number ({', '.join(sorted(numbers))}) or a record key "
+            f"({', '.join(keys)})"
+        )
     return [
         experiment
         for experiment in PAPER_EXPERIMENTS

@@ -3,11 +3,14 @@
 A query resolves dozens of attribute accesses, and each used to cross
 the bus as its own :class:`~repro.obs.events.CacheAccess`.  The client
 now gathers them into one :class:`CacheAccessBatch` and publishes it
-with :meth:`~repro.obs.bus.EventBus.emit_batch`: the metrics sink folds
-the records in one pass, and only subscribers without a batch handler
-(trace export, staleness timeline, invariant checkers) make the bus
-build the per-access events, in the same order and with the same keys
-as before.
+with :meth:`~repro.obs.bus.EventBus.emit_batch`.  The metrics sink,
+the staleness timeline and the invariant checkers fold the records in
+one pass, decoding a key only where they need its ``(OID, attribute)``
+form.  Only a subscriber without a batch handler (the trace export)
+makes the bus build the per-access events, in the same order and with
+the same keys as before.  :meth:`CacheAccessBatch.of` turns a lone
+event back into a one-record batch, so a sink can keep a single fold
+for both.
 """
 
 from __future__ import annotations
@@ -56,6 +59,21 @@ class CacheAccessBatch:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @classmethod
+    def of(cls, event: CacheAccess) -> "CacheAccessBatch":
+        """A one-record batch holding ``event`` (its key as is)."""
+        batch = cls(event.time, event.client_id)
+        batch.add(
+            event.key,
+            event.hit,
+            event.error,
+            event.answered,
+            event.connected,
+            event.stale_served,
+            event.age_seconds,
+        )
+        return batch
 
     def add(
         self,

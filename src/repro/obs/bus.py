@@ -3,7 +3,7 @@
 One :class:`EventBus` per simulation.  Emitters are domain objects
 (client, cache, channels, server, kernel resources); subscribers are
 sinks (metric collectors, the JSONL trace writer, the staleness
-timeline).  Dispatch is by exact event type — a handler subscribed to
+timeline, the invariant engine).  Dispatch is by exact event type — a handler subscribed to
 :class:`~repro.obs.events.CacheAccess` sees only those.
 
 The **zero-overhead-when-off contract**: an emit site whose event only
@@ -24,7 +24,11 @@ type's counter advances once per event.  Subscribers that registered a
 batch handler receive the batch whole; every other subscriber —
 catch-all sinks included — receives the individual events, expanded in
 order, exactly as if each had been emitted on its own.  With only batch
-handlers listening, no per-event object is ever built.
+handlers listening, no per-event object is ever built: the metrics
+sink, the staleness timeline and the invariant engine all bring one,
+so of the built-in subscribers only the trace writer makes the bus
+expand.  Batch handlers run before the expanding subscribers, which is
+invisible to sinks that do not feed back into each other.
 """
 
 from __future__ import annotations

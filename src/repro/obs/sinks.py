@@ -12,6 +12,7 @@ import dataclasses
 import json
 import typing as t
 
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.bus import EventBus
 from repro.obs.events import CacheAccess, SimEvent
 
@@ -270,26 +271,33 @@ class StalenessTimeline:
         )
 
     def attach(self, bus: EventBus) -> "StalenessTimeline":
-        bus.subscribe(CacheAccess, self.on_access)
+        bus.subscribe(CacheAccess, self.on_access, self.on_access_batch)
         return self
 
     def on_access(self, event: CacheAccess) -> None:
-        age = event.age_seconds
-        if age is None:
-            return
-        index = int(event.time // self.bucket_seconds)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, 0.0, 0.0]
-            self._buckets[index] = bucket
-        bucket[0] += 1
-        bucket[1] += age
-        if age > bucket[2]:
-            bucket[2] = age
-        if event.stale_served:
-            bucket[3] += 1
-        if event.error:
-            bucket[4] += 1
+        self.on_access_batch(CacheAccessBatch.of(event))
+
+    def on_access_batch(self, batch: CacheAccessBatch) -> None:
+        """Fold a batch: one instant, so every aged read lands in one
+        bucket, in the order the accesses were made."""
+        bucket: list[float] | None = None
+        for __, __, error, __, __, stale_served, age in batch.records:
+            if age is None:
+                continue
+            if bucket is None:
+                index = int(batch.time // self.bucket_seconds)
+                bucket = self._buckets.get(index)
+                if bucket is None:
+                    bucket = [0.0, 0.0, 0.0, 0.0, 0.0]
+                    self._buckets[index] = bucket
+            bucket[0] += 1
+            bucket[1] += age
+            if age > bucket[2]:
+                bucket[2] = age
+            if stale_served:
+                bucket[3] += 1
+            if error:
+                bucket[4] += 1
 
     def series(self) -> list[StalenessBucket]:
         """Chronological per-bucket aggregates (non-empty buckets only)."""

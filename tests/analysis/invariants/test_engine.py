@@ -14,6 +14,7 @@ from repro.analysis.invariants import (
     decode_record,
     default_checkers,
 )
+from repro.obs.batches import CacheAccessBatch
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     CacheAccess,
@@ -40,8 +41,7 @@ def access(time, **overrides):
 
 class RecordingChecker(InvariantChecker):
     checker_id = "REC"
-    title = "records what it sees"
-    event_types = (CacheAccess,)
+    title = "records the accesses it sees"
 
     def __init__(self):
         super().__init__()
@@ -49,8 +49,11 @@ class RecordingChecker(InvariantChecker):
         self.finalized = 0
         self.reconciled = []
 
-    def on_event(self, event):
-        self.seen.append(event)
+    def handlers(self):
+        return {CacheAccessBatch: self.on_access_batch}
+
+    def on_access_batch(self, batch):
+        self.seen.extend(batch.events())
 
     def finalize(self):
         self.finalized += 1
@@ -61,11 +64,14 @@ class RecordingChecker(InvariantChecker):
 
 class FiringChecker(InvariantChecker):
     checker_id = "FIRE"
-    title = "one violation per event"
-    event_types = (CacheAccess,)
+    title = "one violation per access"
 
-    def on_event(self, event):
-        self.violation("FIRE001", event.time, "scope", "boom")
+    def handlers(self):
+        return {CacheAccessBatch: self.on_access_batch}
+
+    def on_access_batch(self, batch):
+        for __ in batch.records:
+            self.violation("FIRE001", batch.time, "scope", "boom")
 
 
 class TestDispatch:
@@ -84,6 +90,18 @@ class TestDispatch:
         assert bus.wants(CacheAccess)
         bus.emit(access(3.0))
         assert len(checker.seen) == 1
+
+    def test_attached_engine_takes_access_batches_whole(self):
+        bus = EventBus()
+        checker = RecordingChecker()
+        checker.on_access_batch = checker.seen.append
+        engine = InvariantEngine([checker]).attach(bus)
+        batch = CacheAccessBatch(4.0, 0)
+        for key in ("a", "b", "c"):
+            batch.add(key, False, False, True, True)
+        bus.emit_batch(batch)
+        assert checker.seen == [batch]
+        assert engine.events_checked == 3
 
     def test_attach_makes_guarded_cache_events_wanted(self):
         bus = EventBus()

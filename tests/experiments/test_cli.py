@@ -81,8 +81,41 @@ def test_run_rejects_bad_granularity():
 
 
 def test_experiment_requires_valid_number():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main(["experiment", "9", "--hours", "0.1"])
+    assert exit_info.value.code == "unknown experiment '9'; use 1-7 or 'all'"
+
+
+def test_experiment_exits_one_when_a_run_fails(monkeypatch, capsys):
+    """A crashed run fails the command and is named on stderr, even
+    with --quiet (its table only loses a row)."""
+    from repro.experiments import parallel
+
+    real = parallel.execute_descriptor
+
+    def fail_first(descriptor):
+        if descriptor.index:
+            return real(descriptor)
+        return parallel.RunOutcome(
+            index=descriptor.index,
+            dims=descriptor.dims,
+            label=descriptor.label(),
+            elapsed_seconds=0.0,
+            error="Traceback (most recent call last):\nRuntimeError: boom",
+        )
+
+    monkeypatch.setattr(parallel, "execute_descriptor", fail_first)
+    code = main(
+        ["experiment", "4", "--hours", "0.05", "--quiet", "--jobs", "1"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Figure 5" in captured.out
+    failed = [
+        line for line in captured.err.splitlines() if "FAILED" in line
+    ]
+    assert [line.split()[0] for line in failed] == ["[exp4_f5]", "[exp4_f6]"]
+    assert captured.err.count("RuntimeError: boom") == 2
 
 
 def test_no_command_exits():

@@ -112,3 +112,29 @@ def test_reproduce_script_smoke(tmp_path):
     pooled = run_script(tmp_path / "pooled", jobs=2)
     assert len(serial) == 27
     assert serial == pooled
+
+
+@pytest.mark.parametrize("only", [["9"], ["1", "9"], ["exp4"]])
+def test_reproduce_script_rejects_unknown_selection(tmp_path, only):
+    """A token naming no experiment is a usage error, not a silently
+    smaller (or empty) sweep."""
+    out_dir = tmp_path / "out"
+    completed = subprocess.run(
+        [sys.executable, str(SCRIPT), "--only", *only,
+         "--out-dir", str(out_dir)],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=120,
+    )
+    assert completed.returncode == 2
+    assert f"unknown experiment(s) {only[-1]!r}" in completed.stderr
+    assert not out_dir.exists()
+
+
+def test_select_experiments_names_every_unknown_token():
+    assert [e.key for e in select_experiments(["4", "exp1"])] == [
+        "exp1", "exp4_f5", "exp4_f6",
+    ]
+    with pytest.raises(ValueError, match="'9', 'exp8'"):
+        select_experiments(["1", "9", "exp8"])

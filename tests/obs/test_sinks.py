@@ -159,6 +159,33 @@ class TestStalenessTimeline:
         with pytest.raises(ValueError):
             StalenessTimeline(bucket_seconds=0.0)
 
+    def test_batch_and_per_event_feeding_agree_bit_for_bit(self):
+        """The run's timeline folds each query's access batch; a second
+        timeline on the same bus without a batch handler sees the
+        expanded events.  Their series must be identical."""
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.runner import Simulation
+
+        simulation = Simulation(
+            SimulationConfig(
+                num_clients=3,
+                horizon_hours=1.5,
+                seed=11,
+                update_probability=0.3,
+                disconnected_clients=2,
+                disconnection_hours=1.0,
+                staleness_timeline=True,
+                staleness_bucket_seconds=600.0,
+            )
+        )
+        per_event = StalenessTimeline(bucket_seconds=600.0)
+        simulation.bus.subscribe(CacheAccess, per_event.on_access)
+        result = simulation.run()
+        assert result.staleness == per_event.series()
+        assert sum(bucket.reads for bucket in result.staleness) > 0
+        assert any(bucket.stale_fraction > 0 for bucket in result.staleness)
+        assert any(bucket.error_fraction > 0 for bucket in result.staleness)
+
 
 class TestProfiler:
     def test_bucket_for_strips_instance_indices(self):
